@@ -83,10 +83,11 @@ drive:
 	    -workload hybrid -warehouses 2 -conns 4 -warmup 1s -duration 5s
 
 # serve-smoke is the CI end-to-end gate: build both binaries, serve on
-# loopback, drive a burst, scrape /metrics, assert nonzero per-shard tx
-# counts and sane quantiles, then SIGTERM-drain.
+# loopback (free ports), drive a burst, scrape /metrics, assert nonzero
+# per-shard tx counts and sane quantiles, then SIGTERM-drain (TestSmoke's
+# one-node row).
 serve-smoke:
-	./scripts/serve_smoke.sh
+	$(GO) test -count=1 -run 'TestSmoke/serve' -v ./cmd/oltpdrive
 
 # concurrent-smoke is the CI gate for the engine's concurrent mode: race
 # hammers on the MT hierarchy/engine/replay paths, then a race-built oltpd
@@ -101,10 +102,11 @@ concurrent-smoke:
 # differential replay and 2PC fault-injection batteries under -race, then
 # two race-built oltpd processes sharing a shard map, a routed oltpdrive
 # burst with a 20% multi-partition (2PC) rate, /metrics assertions that both
-# nodes prepared and committed 2PC branches, and a SIGTERM drain of both.
+# nodes prepared and committed 2PC branches, and a SIGTERM drain of both
+# (TestSmoke's two-node row).
 cluster-smoke:
 	$(GO) test -race -run 'TestClusterDifferential|TestTwoPC' ./internal/cluster
-	./scripts/cluster_smoke.sh
+	$(GO) test -count=1 -race -run 'TestSmoke/cluster' -v ./cmd/oltpdrive
 
 # scenario-smoke is the CI gate for the scenario engine: the profile/pacer
 # determinism and flash-crowd scenario tests under -race, then a race-built

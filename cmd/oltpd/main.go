@@ -27,6 +27,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -112,14 +113,20 @@ func main() {
 	}
 
 	if *metricsAddr != "" {
+		// Listen before printing, so the line names the bound address (a
+		// ":0" address picks a free port).
+		ln, err := net.Listen("tcp", *metricsAddr)
+		if err != nil {
+			fatal(fmt.Errorf("oltpd: metrics server: %w", err))
+		}
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", s.Registry())
 		go func() {
-			if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
+			if err := http.Serve(ln, mux); err != nil {
 				fmt.Fprintf(os.Stderr, "oltpd: metrics server: %v\n", err)
 			}
 		}()
-		fmt.Printf("oltpd: metrics at http://%s/metrics\n", *metricsAddr)
+		fmt.Printf("oltpd: metrics at http://%s/metrics\n", ln.Addr())
 	}
 
 	sig := make(chan os.Signal, 1)

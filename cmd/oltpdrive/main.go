@@ -13,7 +13,10 @@
 // Cluster mode: -addrs lists every node of a cluster (comma-separated, in
 // node-ID order), -cluster gives the shard map shared with the servers, and
 // -mp makes that percentage of transactional calls two-branch 2PC
-// transactions spanning distinct partitions (closed loop only):
+// transactions spanning distinct partitions. Each connection is one
+// synchronous coordinator, so -pipeline must stay 1; every other flag —
+// open loop, profiles, scenarios, -reqlog, -autoterm — works as it does
+// against one node:
 //
 //	oltpdrive -addrs 127.0.0.1:7890,127.0.0.1:7990 -cluster range:2x4 \
 //	          -workload micro -rows 100000 -mp 20
@@ -34,7 +37,7 @@
 //
 // In scenario mode -warmup and -duration are ignored; the simulated clock
 // (-sim-duration, -sim-warmup, -agg-interval) governs. Scenario and profile
-// flags are open-loop only and incompatible with cluster mode.
+// flags are open-loop only.
 //
 // -reqlog run.olog persists one compact binary record per request for
 // offline re-analysis with `oltpsim analyze` / `oltpsim compare`; -autoterm
@@ -101,16 +104,25 @@ func main() {
 	}
 	scenario := *timeline != "" || *timeScale != 1 || *simDur != 0 || *simWarm != 0 || *aggInt != 0
 
-	var rep *driver.Report
-	var err error
-	switch {
-	case *addrs != "" || *cmap != "":
+	cfg := driver.Config{
+		Addr:           *addr,
+		Spec:           *spec,
+		Conns:          *conns,
+		Rate:           *rate,
+		Poisson:        *poisson,
+		Pipeline:       *pipeline,
+		Warmup:         *warmup,
+		Measure:        *duration,
+		Seed:           *seed,
+		Profile:        prof,
+		ReqLog:         *reqlog,
+		AutoTerm:       *autoterm,
+		AutoTermWindow: *atWindow,
+		AutoTermPct:    *atPct,
+	}
+	if *addrs != "" || *cmap != "" {
 		if *addrs == "" || *cmap == "" {
 			fmt.Fprintln(os.Stderr, "oltpdrive: cluster mode needs both -addrs and -cluster")
-			os.Exit(2)
-		}
-		if scenario || prof != nil {
-			fmt.Fprintln(os.Stderr, "oltpdrive: scenario and profile flags are open-loop only (cluster mode is closed-loop)")
 			os.Exit(2)
 		}
 		m, perr := cluster.Parse(*cmap)
@@ -118,38 +130,18 @@ func main() {
 			fmt.Fprintln(os.Stderr, perr)
 			os.Exit(2)
 		}
-		if *autoterm {
-			fmt.Fprintln(os.Stderr, "oltpdrive: -autoterm is not supported in cluster mode")
-			os.Exit(2)
-		}
-		rep, err = driver.RunCluster(driver.ClusterConfig{
-			Addrs:   strings.Split(*addrs, ","),
-			Map:     m,
-			Spec:    *spec,
-			Conns:   *conns,
-			MPRate:  *mp,
-			Warmup:  *warmup,
-			Measure: *duration,
-			Seed:    *seed,
-			ReqLog:  *reqlog,
-		})
-	case scenario:
+		cfg.Map, cfg.Addrs, cfg.MPRate = m, strings.Split(*addrs, ","), *mp
+	}
+
+	var rep *driver.Report
+	var err error
+	if scenario {
 		if *autoterm {
 			fmt.Fprintln(os.Stderr, "oltpdrive: -autoterm makes no sense under a shaped scenario (the profile varies throughput by design)")
 			os.Exit(2)
 		}
 		sc := driver.ScenarioConfig{
-			Driver: driver.Config{
-				Addr:     *addr,
-				Spec:     *spec,
-				Conns:    *conns,
-				Rate:     *rate,
-				Poisson:  *poisson,
-				Pipeline: *pipeline,
-				Seed:     *seed,
-				Profile:  prof,
-				ReqLog:   *reqlog,
-			},
+			Driver:      cfg,
 			TimeScale:   *timeScale,
 			SimDuration: *simDur,
 			SimWarmup:   *simWarm,
@@ -179,23 +171,8 @@ func main() {
 				err = cerr
 			}
 		}
-	default:
-		rep, err = driver.Run(driver.Config{
-			Addr:           *addr,
-			Spec:           *spec,
-			Conns:          *conns,
-			Rate:           *rate,
-			Poisson:        *poisson,
-			Pipeline:       *pipeline,
-			Warmup:         *warmup,
-			Measure:        *duration,
-			Seed:           *seed,
-			Profile:        prof,
-			ReqLog:         *reqlog,
-			AutoTerm:       *autoterm,
-			AutoTermWindow: *atWindow,
-			AutoTermPct:    *atPct,
-		})
+	} else {
+		rep, err = driver.Run(cfg)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

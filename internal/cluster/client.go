@@ -70,7 +70,7 @@ type Branch struct {
 
 // Conn is a routing client over one socket per node. Not safe for
 // concurrent use — each load-generator worker owns one Conn, mirroring the
-// driver's one-clientConn-per-worker shape.
+// driver's one-transport-per-connection shape.
 type Conn struct {
 	cfg    Config
 	nodes  []*nodeConn
@@ -147,63 +147,17 @@ func dialNode(cfg Config, addr string) (*nodeConn, error) {
 		pending:  make(map[uint32]savedResp),
 		strayIDs: make(map[uint32]bool),
 	}
-	typ, payload, frame, err := wire.ReadFrame(n.br, n.frame)
-	n.frame = frame
+	procs := cfg.Spec.ProcNames()
+	shards, ids, err := wire.Handshake(n.br, nc, cfg.Spec.String(), procs)
+	if err == nil && shards != cfg.Map.Parts {
+		err = fmt.Errorf("shard-map mismatch: server has %d partitions, map says %d", shards, cfg.Map.Parts)
+	}
 	if err != nil {
 		nc.Close()
-		return nil, fmt.Errorf("reading hello: %w", err)
+		return nil, err
 	}
-	if typ != wire.MsgHello {
-		nc.Close()
-		return nil, fmt.Errorf("expected hello, got frame %#x", typ)
-	}
-	r := wire.NewReader(payload)
-	ver := r.U8()
-	shards := int(r.U16())
-	serverSpec := r.Str()
-	if r.Err != nil || ver != wire.Version {
-		nc.Close()
-		return nil, fmt.Errorf("bad hello (version %d): %v", ver, r.Err)
-	}
-	if shards != cfg.Map.Parts {
-		nc.Close()
-		return nil, fmt.Errorf("shard-map mismatch: server has %d partitions, map says %d", shards, cfg.Map.Parts)
-	}
-	if want := cfg.Spec.String(); serverSpec != want {
-		nc.Close()
-		return nil, fmt.Errorf("workload mismatch: server serves %q, client generates %q", serverSpec, want)
-	}
-	for i, name := range cfg.Spec.ProcNames() {
-		n.wbuf.Reset(wire.MsgPrepare)
-		n.wbuf.U32(uint32(i))
-		n.wbuf.Str(name)
-		if _, err := nc.Write(n.wbuf.Bytes()); err != nil {
-			nc.Close()
-			return nil, err
-		}
-		typ, payload, n.frame, err = wire.ReadFrame(n.br, n.frame)
-		if err != nil {
-			nc.Close()
-			return nil, err
-		}
-		pr := wire.NewReader(payload)
-		switch typ {
-		case wire.MsgPrepared:
-			_ = pr.U32() // reqID
-			n.procID[name] = pr.U32()
-		case wire.MsgErr:
-			_ = pr.U32()
-			msg := pr.Str()
-			nc.Close()
-			return nil, fmt.Errorf("prepare %q: %s", name, msg)
-		default:
-			nc.Close()
-			return nil, fmt.Errorf("prepare %q: unexpected frame %#x", name, typ)
-		}
-		if pr.Err != nil {
-			nc.Close()
-			return nil, pr.Err
-		}
+	for i, name := range procs {
+		n.procID[name] = ids[i]
 	}
 	return n, nil
 }
@@ -219,19 +173,6 @@ func (c *Conn) Close() {
 
 // Nodes returns the node count.
 func (c *Conn) Nodes() int { return len(c.nodes) }
-
-func (n *nodeConn) putArgs(args []catalog.Value) {
-	n.wbuf.U16(uint16(len(args)))
-	for _, a := range args {
-		if a.S != nil {
-			n.wbuf.U8(wire.TagBytes)
-			n.wbuf.Blob(a.S)
-		} else {
-			n.wbuf.U8(wire.TagLong)
-			n.wbuf.I64(a.I)
-		}
-	}
-}
 
 // readResponse reads frames until one carries reqID, enforcing the deadline.
 // Responses for other outstanding requests of this connection (same-node 2PC
@@ -263,24 +204,22 @@ func (n *nodeConn) readResponse(reqID uint32, deadline time.Duration) (typ byte,
 	}
 }
 
-// decodeAck turns an OK/Err response into an error.
+// decodeAck turns an OK/Err response into an error (a *wire.Error for an
+// Err frame).
 func decodeAck(typ byte, r wire.Reader) error {
 	switch typ {
 	case wire.MsgOK:
 		return nil
 	case wire.MsgErr:
-		msg := r.Str()
-		if r.Err != nil {
-			return r.Err
-		}
-		return errors.New(msg)
+		return wire.DecodeErr(&r)
 	default:
 		return fmt.Errorf("cluster: unexpected frame %#x", typ)
 	}
 }
 
 // Exec routes one single-partition call to the partition's owning node and
-// waits for its result.
+// waits for its result. A server's Err answer comes back as a *wire.Error
+// carrying its status; any other error is a transport failure.
 func (c *Conn) Exec(part int, proc string, args []catalog.Value) error {
 	n := c.nodes[c.cfg.Map.Owner(part)]
 	return n.exec(part, proc, args, c.cfg.AckTimeout)
@@ -297,7 +236,7 @@ func (n *nodeConn) exec(part int, proc string, args []catalog.Value, deadline ti
 	n.wbuf.U32(id)
 	n.wbuf.U32(procID)
 	n.wbuf.U16(uint16(part))
-	n.putArgs(args)
+	n.wbuf.Args(args)
 	if _, err := n.nc.Write(n.wbuf.Bytes()); err != nil {
 		return err
 	}
@@ -336,8 +275,11 @@ func (c *Conn) firstOwned(node int) int {
 // ordered acquisition — no distributed deadlock), commits on unanimous YES,
 // aborts on any NO vote, vote timeout, transport error or injected fault.
 // nil means committed everywhere; an error wrapping ErrAborted means cleanly
-// aborted everywhere (both are definitive answers). Any other error is a
-// transport failure, after which the Conn must not be reused.
+// aborted everywhere (both are definitive answers). When a participant
+// refused its prepare with an Err frame (draining, shed), the error also
+// wraps that *wire.Error, so errors.As recovers the refusal's status. A
+// rejected decision wraps the participant's *wire.Error too. Any other
+// error is a transport failure, after which the Conn must not be reused.
 func (c *Conn) ExecMulti(branches []Branch) error {
 	if len(branches) == 0 {
 		return nil
@@ -392,7 +334,7 @@ func (c *Conn) ExecMulti(branches []Branch) error {
 		return err
 	}
 	if !commit {
-		return fmt.Errorf("cluster: %w: %v", ErrAborted, reason)
+		return fmt.Errorf("cluster: %w: %w", ErrAborted, reason)
 	}
 	c.MultiPart++
 	return nil
@@ -413,7 +355,7 @@ func (n *nodeConn) prepare2PC(gtid uint64, b *Branch, deadline time.Duration) (v
 	n.wbuf.U64(gtid)
 	n.wbuf.U32(procID)
 	n.wbuf.U16(uint16(b.Part))
-	n.putArgs(b.Args)
+	n.wbuf.Args(b.Args)
 	if _, err := n.nc.Write(n.wbuf.Bytes()); err != nil {
 		return nil, err
 	}
@@ -433,12 +375,13 @@ func (n *nodeConn) prepare2PC(gtid uint64, b *Branch, deadline time.Duration) (v
 		}
 		return errors.New(msg), nil
 	case wire.MsgErr:
-		// Admission-level refusal (draining, not owned): nothing retained.
-		msg := r.Str()
+		// Admission-level refusal (draining, shed, not owned): nothing
+		// retained. The vote carries the typed *wire.Error.
+		vote = wire.DecodeErr(&r)
 		if r.Err != nil {
 			return nil, r.Err
 		}
-		return errors.New(msg), nil
+		return vote, nil
 	default:
 		return nil, fmt.Errorf("cluster: unexpected frame %#x awaiting vote", typ)
 	}

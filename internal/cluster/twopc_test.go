@@ -17,6 +17,7 @@ import (
 	"oltpsim/internal/core"
 	"oltpsim/internal/engine"
 	"oltpsim/internal/server"
+	"oltpsim/internal/wire"
 	"oltpsim/internal/workload"
 )
 
@@ -196,5 +197,43 @@ func TestTwoPCDrainWithInFlight(t *testing.T) {
 		if row[1].I == 666 {
 			t.Fatalf("key %d: aborted 2PC write was installed", k)
 		}
+	}
+}
+
+// TestTwoPCPrepareRefusedByDrain: a participant that is draining refuses a
+// branch prepare with an Err frame. The coordinator aborts the branch the
+// other node already prepared, and the error is both a clean abort and —
+// through errors.As — the typed drain status, so a driver counts the call
+// as rejected rather than as an error or a transport failure.
+func TestTwoPCPrepareRefusedByDrain(t *testing.T) {
+	m, err := cluster.NewMap("range", 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvs, conn := startCluster(t, m, tpSpec, 2*time.Second)
+	k1, k2 := int64(4), int64(10) // partitions 0 and 2: one branch per node
+	base1 := microVal(t, m, srvs, k1)
+	srvs[1].Drain()
+
+	err = conn.ExecMulti(pair(k1, k2, 666))
+	if !errors.Is(err, cluster.ErrAborted) {
+		t.Fatalf("err = %v, want ErrAborted", err)
+	}
+	var we *wire.Error
+	if !errors.As(err, &we) || we.Status != wire.StatusDrain {
+		t.Fatalf("err = %v, want a wrapped *wire.Error with the drain status", err)
+	}
+	// Node 0 prepared first (ascending partition order) and was told to
+	// abort: its partition is unchanged and free.
+	if v := microVal(t, m, srvs, k1); v != base1 {
+		t.Fatalf("k1 = %d, want %d (atomicity)", v, base1)
+	}
+	if err := conn.Exec(0, "micro_rw", []catalog.Value{catalog.LongVal(k1), catalog.LongVal(7005)}); err != nil {
+		t.Fatalf("exec on the live node after the refused 2PC: %v", err)
+	}
+	// A single-partition call to the draining node carries the same status.
+	err = conn.Exec(2, "micro_rw", []catalog.Value{catalog.LongVal(k2), catalog.LongVal(7005)})
+	if !errors.As(err, &we) || we.Status != wire.StatusDrain {
+		t.Fatalf("exec on the draining node: err = %v, want the drain status", err)
 	}
 }

@@ -55,26 +55,26 @@ func (s *stabilizer) add(v float64) bool {
 	return 100*sd/mean <= s.pct
 }
 
-// autoterm runs the stability monitor for one driver run: it samples the
+// autoterm is the stability monitor for one driver run: it samples the
 // connections' completed-op counters on a fixed interval (warmup excluded)
 // and, once the stabilizer fires, raises every connection's stop flag so the
 // run drains exactly like a scheduled end-of-window. The covered-window
 // clamp then reports throughput over the span actually measured.
 type autoterm struct {
+	window    time.Duration // rolling stability window
+	pct       float64       // CV threshold, percent
 	triggered atomic.Bool
 	quit      chan struct{}
 	done      chan struct{}
 }
 
-func startAutoterm(cfg Config, conns []*clientConn, base time.Time, warmEnd int64) *autoterm {
-	at := &autoterm{quit: make(chan struct{}), done: make(chan struct{})}
-	interval := cfg.AutoTermWindow / autotermSamples
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
+func (at *autoterm) start(conns []*conn, base time.Time, warmEnd, _ int64) {
+	at.quit = make(chan struct{})
+	at.done = make(chan struct{})
+	interval := max(at.window/autotermSamples, time.Millisecond)
 	go func() {
 		defer close(at.done)
-		st := newStabilizer(cfg.AutoTermPct, autotermSamples)
+		st := newStabilizer(at.pct, autotermSamples)
 		tick := time.NewTicker(interval)
 		defer tick.Stop()
 		var prev uint64
@@ -89,12 +89,8 @@ func startAutoterm(cfg Config, conns []*clientConn, base time.Time, warmEnd int6
 			for _, c := range conns {
 				total += c.ops.Load() + c.errs.Load()
 			}
-			if time.Since(base).Nanoseconds() < warmEnd {
+			if !primed || time.Since(base).Nanoseconds() < warmEnd {
 				// Warmup throughput is ramp, not signal: keep the window empty.
-				prev, primed = total, true
-				continue
-			}
-			if !primed {
 				prev, primed = total, true
 				continue
 			}
@@ -109,7 +105,6 @@ func startAutoterm(cfg Config, conns []*clientConn, base time.Time, warmEnd int6
 			}
 		}
 	}()
-	return at
 }
 
 // stop ends the monitor (idempotent with a fired monitor) and waits for it.

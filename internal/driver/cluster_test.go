@@ -3,12 +3,16 @@ package driver_test
 import (
 	"fmt"
 	"net"
+	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"oltpsim/internal/cluster"
 	"oltpsim/internal/driver"
+	"oltpsim/internal/metrics"
+	"oltpsim/internal/olog"
 	"oltpsim/internal/server"
 	"oltpsim/internal/systems"
 	"oltpsim/internal/wire"
@@ -153,7 +157,7 @@ func (c *rawClient) read() (byte, []byte, error) {
 // park registers proc and leaves a 2PC branch prepared-but-undecided on part:
 // the partition's worker blocks awaiting the decision and the server's
 // request WaitGroup stays open, so a concurrent Shutdown sits in its drain
-// phase — refusing all new work with wire.ErrDraining — until release.
+// phase — refusing all new work with wire.StatusDrain — until release.
 func (c *rawClient) park(proc string, part int, gtid uint64) error {
 	c.w.Reset(wire.MsgPrepare)
 	c.w.U32(1)
@@ -225,7 +229,7 @@ func (c *rawClient) release(part int, gtid uint64) error {
 // drains in microseconds under a closed-loop micro load, so the test uses
 // Drain() — refusing new work while keeping connections alive — with one of
 // node 1's shard workers parked behind an undecided 2PC branch: every
-// coordinator deterministically takes a wire.ErrDraining refusal, including
+// coordinator deterministically takes a wire.StatusDrain refusal, including
 // any that slipped into the parked queue first (they unblock at release and
 // are refused on their next routed call, the sockets still open).
 func TestDriveClusterDrain(t *testing.T) {
@@ -295,9 +299,174 @@ func TestDriveClusterDrain(t *testing.T) {
 	}
 }
 
+// startNodes starts one in-process oltpd per node of m, serving spec.
+func startNodes(t *testing.T, m *cluster.ShardMap, spec workload.Spec) ([]*server.Server, []string) {
+	t.Helper()
+	servers := make([]*server.Server, m.Nodes)
+	addrs := make([]string, m.Nodes)
+	for i := range servers {
+		servers[i] = startServer(t, server.Config{System: systems.VoltDB, Spec: spec, Cluster: m, Node: i})
+		addrs[i] = servers[i].Addr().String()
+	}
+	return servers, addrs
+}
+
+// twoPCCommits sums the nodes' committed 2PC branches from /metrics.
+func twoPCCommits(t *testing.T, servers []*server.Server) float64 {
+	t.Helper()
+	var sum float64
+	for _, s := range servers {
+		rec := httptest.NewRecorder()
+		s.Registry().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?collect=twopc", nil))
+		parsed, err := metrics.Parse(rec.Body.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range parsed {
+			if strings.HasPrefix(k, "oltpd_2pc_commits_total") {
+				sum += v
+			}
+		}
+	}
+	return sum
+}
+
+// TestDriveClusterOpenLoop runs cluster coordinators under open-loop
+// Poisson arrivals with a request log: every record keeps its scheduled
+// arrival at or before its send, the multi-partition flag marks exactly the
+// committed 2PC calls the nodes saw, and the window is fully covered.
+func TestDriveClusterOpenLoop(t *testing.T) {
+	m, err := cluster.NewMap("range", 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := workload.Spec{Kind: "micro", Rows: 4096, RowsPerTx: 1, ReadWrite: true}
+	servers, addrs := startNodes(t, m, spec)
+	path := filepath.Join(t.TempDir(), "run.olog")
+	rep, err := driver.Run(driver.Config{
+		Map:     m,
+		Addrs:   addrs,
+		Spec:    spec,
+		Conns:   4,
+		MPRate:  20,
+		Rate:    800,
+		Poisson: true,
+		Warmup:  50 * time.Millisecond * raceWindowScale,
+		Measure: 500 * time.Millisecond * raceWindowScale,
+		Seed:    3,
+		ReqLog:  path,
+	})
+	if err != nil {
+		t.Fatalf("driver.Run: %v", err)
+	}
+	if rep.Ops == 0 || rep.Errors != 0 {
+		t.Fatalf("ops=%d errors=%d, want ops and no errors", rep.Ops, rep.Errors)
+	}
+	if rep.Covered < 0.99 {
+		t.Fatalf("Covered = %.3f, want >= 0.99", rep.Covered)
+	}
+	if !strings.Contains(rep.String(), "open-loop") {
+		t.Fatalf("report does not mention open loop:\n%s", rep.String())
+	}
+	_, recs, err := olog.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committedMP, measuredMP uint64
+	for _, r := range recs {
+		if r.Sched > r.Start {
+			t.Fatalf("record scheduled at %d but sent at %d", r.Sched, r.Start)
+		}
+		if r.MultiPart() && r.Status == olog.StatusOK {
+			committedMP++
+			if r.Measured() {
+				measuredMP++
+			}
+		}
+	}
+	if committedMP == 0 || measuredMP != rep.MultiPart {
+		t.Fatalf("log has %d committed 2PC calls (%d measured), report %d", committedMP, measuredMP, rep.MultiPart)
+	}
+	// Each committed two-branch call commits one branch on each of two
+	// partitions; the nodes' counters must agree with the log's flags.
+	if got := twoPCCommits(t, servers); got != float64(2*committedMP) {
+		t.Fatalf("nodes committed %.0f 2PC branches for %d flagged calls", got, committedMP)
+	}
+}
+
+// TestDriveClusterAutoTerm: the stability monitor ends a steady cluster run
+// early, exactly as it does a single-node run.
+func TestDriveClusterAutoTerm(t *testing.T) {
+	m, err := cluster.NewMap("range", 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := workload.Spec{Kind: "micro", Rows: 4096, RowsPerTx: 1}
+	_, addrs := startNodes(t, m, spec)
+	measure := 20 * time.Second
+	rep, err := driver.Run(driver.Config{
+		Map:            m,
+		Addrs:          addrs,
+		Spec:           spec,
+		Conns:          2,
+		Warmup:         30 * time.Millisecond * raceWindowScale,
+		Measure:        measure,
+		Seed:           5,
+		AutoTerm:       true,
+		AutoTermWindow: 200 * time.Millisecond * raceWindowScale,
+		AutoTermPct:    50,
+	})
+	if err != nil {
+		t.Fatalf("driver.Run: %v", err)
+	}
+	if !rep.AutoTerm || rep.Elapsed >= measure/4 || rep.Ops == 0 {
+		t.Fatalf("autoterm=%v elapsed=%v ops=%d, want an early stop with ops", rep.AutoTerm, rep.Elapsed, rep.Ops)
+	}
+}
+
+// TestDriveClusterDrainDuringPrepare: a node that starts draining while
+// coordinators run 2PC transactions refuses their branch prepares. Those
+// calls are cleanly aborted everywhere and must count as Rejected — the
+// typed drain status survives the abort's wrapping — never as errors.
+func TestDriveClusterDrainDuringPrepare(t *testing.T) {
+	m, err := cluster.NewMap("range", 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := workload.Spec{Kind: "micro", Rows: 4096, RowsPerTx: 1, ReadWrite: true}
+	servers, addrs := startNodes(t, m, spec)
+	go func() {
+		time.Sleep(150 * time.Millisecond * raceWindowScale)
+		servers[1].Drain()
+	}()
+	rep, err := driver.Run(driver.Config{
+		Map:     m,
+		Addrs:   addrs,
+		Spec:    spec,
+		Conns:   2,
+		MPRate:  100, // every call is a 2PC, so every refusal lands on a prepare
+		Warmup:  20 * time.Millisecond * raceWindowScale,
+		Measure: 2 * time.Second * raceWindowScale,
+		Seed:    6,
+	})
+	if err != nil {
+		t.Fatalf("driver.Run: %v", err)
+	}
+	if rep.Ops == 0 || rep.Rejected == 0 || rep.Errors != 0 {
+		t.Fatalf("ops=%d rejected=%d errors=%d, want ops, rejections and no errors", rep.Ops, rep.Rejected, rep.Errors)
+	}
+}
+
 // TestDriveClusterRejectsBadConfig pins the config validation surface.
 func TestDriveClusterRejectsBadConfig(t *testing.T) {
 	m, _ := cluster.NewMap("range", 2, 4)
+	if _, err := driver.Run(driver.Config{Map: m, Addrs: []string{"x", "y"}, Pipeline: 8}); err == nil ||
+		!strings.Contains(err.Error(), "pipeline") {
+		t.Fatalf("pipelined cluster mode: err = %v, want a pipeline refusal", err)
+	}
+	if _, err := driver.Run(driver.Config{Addr: "x", MPRate: 20}); err == nil {
+		t.Fatal("multi-partition rate accepted without a shard map")
+	}
 	if _, err := driver.RunCluster(driver.ClusterConfig{Addrs: []string{"x"}, Map: m}); err == nil {
 		t.Fatal("addr/node count mismatch accepted")
 	}

@@ -5,6 +5,10 @@
 // into a fixed-bucket log-linear histogram and reported as
 // p50/p90/p99/p999 over a measurement window that starts after a warmup.
 //
+// One driver loop (run) serves a single oltpd and a cluster of them alike:
+// only the per-connection transport differs — a pipelined client on one
+// socket, or a synchronous routing 2PC coordinator over one socket per node.
+//
 // Open-loop latencies are measured from each request's *scheduled* arrival
 // time, not its actual send time, so queueing delay under overload is
 // charged to the server rather than silently absorbed by a slow sender
@@ -12,14 +16,13 @@
 package driver
 
 import (
-	"bufio"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"oltpsim/internal/cluster"
 	"oltpsim/internal/metrics"
 	"oltpsim/internal/olog"
 	"oltpsim/internal/wire"
@@ -28,8 +31,16 @@ import (
 
 // Config shapes a driver run.
 type Config struct {
-	// Addr is the oltpd address ("host:port").
+	// Addr is the oltpd address ("host:port"); unused in cluster mode.
 	Addr string
+	// Map, when set, selects cluster mode: every connection is a routing
+	// 2PC coordinator (cluster.Conn) over the nodes at Addrs, indexed by
+	// node ID (the length must match Map.Nodes).
+	Map   *cluster.ShardMap
+	Addrs []string
+	// MPRate is the percentage [0,100] of transactional calls a cluster-mode
+	// coordinator issues as two-branch multi-partition (2PC) transactions.
+	MPRate int
 	// Spec is the traffic to generate; it must match the server's workload
 	// (the Hello exchange verifies this).
 	Spec workload.Spec
@@ -43,6 +54,7 @@ type Config struct {
 	Poisson bool
 	// Pipeline caps in-flight requests per connection (default 1 for closed
 	// loop — the classic one-outstanding client — and 128 for open loop).
+	// Cluster mode is synchronous: Pipeline must be 1 (its default there).
 	Pipeline int
 	// Warmup and Measure bound the run: Warmup of traffic to heat caches
 	// and JIT the path, then Measure of recorded traffic (defaults 1s / 3s).
@@ -75,7 +87,7 @@ func (c Config) withDefaults() Config {
 		c.Conns = 4
 	}
 	if c.Pipeline <= 0 {
-		if c.Rate > 0 {
+		if c.Rate > 0 && c.Map == nil {
 			c.Pipeline = 128
 		} else {
 			c.Pipeline = 1
@@ -101,6 +113,28 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+func (c Config) validate() error {
+	if c.Profile != nil && c.Rate <= 0 {
+		return fmt.Errorf("driver: load profiles require open-loop operation (set Rate)")
+	}
+	if c.Map == nil {
+		if c.MPRate != 0 {
+			return fmt.Errorf("driver: a multi-partition rate needs cluster mode (set Map and Addrs)")
+		}
+		return nil
+	}
+	if len(c.Addrs) != c.Map.Nodes {
+		return fmt.Errorf("driver: %d addrs for a %d-node map", len(c.Addrs), c.Map.Nodes)
+	}
+	if c.MPRate < 0 || c.MPRate > 100 {
+		return fmt.Errorf("driver: multi-partition rate %d%% out of [0,100]", c.MPRate)
+	}
+	if c.Pipeline > 1 {
+		return fmt.Errorf("driver: cluster mode runs one synchronous coordinator per connection; pipeline %d is not supported (raise Conns instead)", c.Pipeline)
+	}
+	return nil
+}
+
 // Report is the outcome of a run. Latency quantiles cover the measurement
 // window only.
 type Report struct {
@@ -112,8 +146,8 @@ type Report struct {
 	Ops       uint64 // measured completed ops
 	Errors    uint64 // measured failed ops (included in Ops)
 	Rejected  uint64 // ops refused by a draining server (not in Ops)
-	Shed      uint64 // ops shed by admission control (wire.ErrOverload; not in Ops)
-	MultiPart uint64 // committed multi-partition (2PC) transactions — cluster mode
+	Shed      uint64 // measured ops shed by admission control (wire.StatusOverload; not in Ops)
+	MultiPart uint64 // measured committed multi-partition (2PC) transactions (in Ops) — cluster mode
 	// DirtyDrains counts connections whose in-flight tail had to be abandoned
 	// at the drain deadline instead of being reclaimed token by token; a
 	// clean run reports 0.
@@ -176,43 +210,68 @@ func fmtDur(d time.Duration) string {
 	}
 }
 
-// Run executes the configured load against the server and returns the
-// measured report.
-func Run(cfg Config) (*Report, error) { return run(cfg, nil) }
+// Run executes the configured load against the server (or, with Map set,
+// the cluster) and returns the measured report.
+func Run(cfg Config) (*Report, error) { return run(cfg) }
 
-// run is Run plus an optional mid-run observer: the scenario timeline
-// emitter attaches here to snapshot per-connection histograms and counters
-// at every aggregation interval while traffic is in flight.
-func run(cfg Config, obs *observer) (*Report, error) {
+// A monitor watches a run's connections while traffic flows: the autoterm
+// stability monitor and the scenario timeline observer are monitors. start
+// is called once every connection is established, stop after every
+// connection has finished.
+type monitor interface {
+	start(conns []*conn, base time.Time, warmEnd, end int64)
+	stop()
+}
+
+// run is the one driver loop behind Run, RunCluster and RunScenario. It
+// establishes every connection, then drives each through its transport
+// until the window ends, with the given monitors watching, and assembles
+// the report. Single-node and cluster runs differ only in the transport.
+func run(cfg Config, mons ...monitor) (*Report, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Profile != nil && cfg.Rate <= 0 {
-		return nil, fmt.Errorf("driver: load profiles require open-loop operation (set Rate)")
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 
 	// Establish every connection (Hello + prepare) before traffic starts, so
 	// the warmup window measures serving, not ramp-up.
-	conns := make([]*clientConn, cfg.Conns)
-	for i := range conns {
-		c, err := dial(cfg, i)
-		if err != nil {
-			for _, p := range conns[:i] {
-				p.nc.Close()
+	conns := make([]*conn, cfg.Conns)
+	closeAll := func() {
+		for _, c := range conns {
+			if c != nil {
+				c.tr.close()
 			}
+		}
+	}
+	for i := range conns {
+		tr, shards, err := dialTransport(cfg)
+		if err != nil {
+			closeAll()
 			return nil, fmt.Errorf("driver: conn %d: %w", i, err)
 		}
-		conns[i] = c
+		conns[i] = &conn{
+			tr:     tr,
+			shards: shards,
+			rng:    workload.NewRand(cfg.Seed ^ 0x5eed<<32 ^ uint64(i)*1_000_003),
+			part:   i % shards,
+			hist:   &metrics.Histogram{},
+		}
 	}
 	shards := conns[0].shards
 	if err := cfg.Spec.Validate(shards); err != nil {
-		for _, c := range conns {
-			c.nc.Close()
-		}
+		closeAll()
 		return nil, err
+	}
+	procs := cfg.Spec.ProcNames()
+	procIdx := make(map[string]uint16, len(procs))
+	for i, name := range procs {
+		procIdx[name] = uint16(i)
 	}
 
 	var rlog *olog.Log
 	if cfg.ReqLog != "" {
-		hdr := olog.Header{
+		var err error
+		rlog, err = olog.Create(cfg.ReqLog, olog.Header{
 			Spec:      cfg.Spec.String(),
 			Shards:    shards,
 			Conns:     cfg.Conns,
@@ -220,52 +279,55 @@ func run(cfg Config, obs *observer) (*Report, error) {
 			Seed:      cfg.Seed,
 			WarmupNs:  cfg.Warmup.Nanoseconds(),
 			MeasureNs: cfg.Measure.Nanoseconds(),
-			Procs:     cfg.Spec.ProcNames(),
-		}
-		var err error
-		rlog, err = olog.Create(cfg.ReqLog, hdr)
+			Procs:     procs,
+		})
 		if err != nil {
-			for _, c := range conns {
-				c.nc.Close()
-			}
+			closeAll()
 			return nil, err
 		}
-		for _, c := range conns {
+	}
+
+	warmEnd := cfg.Warmup.Nanoseconds()
+	end := warmEnd + cfg.Measure.Nanoseconds()
+	for i, c := range conns {
+		c.wl = cfg.Spec.New(shards)
+		c.procIdx = procIdx
+		c.warmEnd, c.end = warmEnd, end
+		if cfg.Rate > 0 {
+			c.pc = newPacer(cfg, i)
+		}
+		if rlog != nil {
 			c.rlog = rlog.NewConn()
 		}
 	}
-
-	base := time.Now()
-	warmEnd := cfg.Warmup.Nanoseconds()
-	end := warmEnd + cfg.Measure.Nanoseconds()
-	if obs != nil {
-		obs.start(conns, base, warmEnd, end)
-	}
 	var at *autoterm
 	if cfg.AutoTerm {
-		at = startAutoterm(cfg, conns, base, warmEnd)
+		at = &autoterm{window: cfg.AutoTermWindow, pct: cfg.AutoTermPct}
+		mons = append(mons, at)
+	}
+	base := time.Now()
+	for _, m := range mons {
+		m.start(conns, base, warmEnd, end)
 	}
 	var wg sync.WaitGroup
 	for _, c := range conns {
-		wg.Add(2)
-		go func(c *clientConn) { defer wg.Done(); c.readLoop(base, warmEnd, end) }(c)
-		go func(c *clientConn) { defer wg.Done(); c.sendLoop(base, warmEnd, end) }(c)
+		c.base = base
+		wg.Add(1)
+		go func(c *conn) { defer wg.Done(); c.tr.drive(c) }(c)
 	}
 	wg.Wait()
-	if at != nil {
-		at.stop()
-	}
-	if obs != nil {
-		obs.stop()
+	for _, m := range mons {
+		m.stop()
 	}
 
 	rep := &Report{
-		Spec:    cfg.Spec.String(),
-		Shards:  shards,
-		Conns:   cfg.Conns,
-		Rate:    cfg.Rate,
-		Elapsed: cfg.Measure,
-		Hist:    &metrics.Histogram{},
+		Spec:     cfg.Spec.String(),
+		Shards:   shards,
+		Conns:    cfg.Conns,
+		Rate:     cfg.Rate,
+		Elapsed:  cfg.Measure,
+		AutoTerm: at != nil && at.triggered.Load(),
+		Hist:     &metrics.Histogram{},
 	}
 	var lastDone int64
 	for _, c := range conns {
@@ -274,12 +336,11 @@ func run(cfg Config, obs *observer) (*Report, error) {
 		rep.Errors += c.errs.Load()
 		rep.Rejected += c.rejected.Load()
 		rep.Shed += c.shed.Load()
+		rep.MultiPart += c.multiPart.Load()
 		if c.dirty.Load() {
 			rep.DirtyDrains++
 		}
-		if ld := c.lastMeasured.Load(); ld > lastDone {
-			lastDone = ld
-		}
+		lastDone = max(lastDone, c.lastMeasured.Load())
 	}
 	// A run cut short (server drain, socket error, autoterm) measured a
 	// shorter window than configured: report throughput over the window
@@ -289,9 +350,6 @@ func run(cfg Config, obs *observer) (*Report, error) {
 	if covered := time.Duration(lastDone - warmEnd); covered > 0 && covered < rep.Elapsed {
 		rep.Elapsed = covered
 		rep.Covered = float64(covered) / float64(cfg.Measure)
-	}
-	if at != nil && at.triggered.Load() {
-		rep.AutoTerm = true
 	}
 	if s := rep.Elapsed.Seconds(); s > 0 {
 		rep.Throughput = float64(rep.Ops) / s
@@ -310,337 +368,147 @@ func run(cfg Config, obs *observer) (*Report, error) {
 	return rep, nil
 }
 
-// slot tracks one in-flight request.
-type slot struct {
-	sched   int64  // scheduled arrival, ns since base
-	start   int64  // actual send, ns since base (== sched in closed loop)
-	shard   uint16 // routed partition
-	proc    uint16 // procedure index into Spec.ProcNames()
-	measure bool   // scheduled inside the measurement window
+// transport moves one connection's requests: the pipelined single-node
+// client (pipeConn) or the synchronous routing coordinator over a cluster
+// (coordinator).
+type transport interface {
+	// drive sends c's traffic until its schedule leaves the window, c.stop
+	// is raised or the connection fails, recording every answer through
+	// c.record; it closes the connection before returning.
+	drive(c *conn)
+	// close tears the connection down without driving it.
+	close()
 }
 
-// clientConn is one driver connection: a sender goroutine generating and
-// encoding traffic, and a reader goroutine matching responses by request ID
-// and recording latency.
-type clientConn struct {
-	cfg     Config
-	idx     int
-	nc      net.Conn
-	br      *bufio.Reader
+// dialTransport establishes one connection of the configured mode and
+// returns the served partition count.
+func dialTransport(cfg Config) (transport, int, error) {
+	if cfg.Map != nil {
+		return dialCoordinator(cfg)
+	}
+	return dialPipe(cfg)
+}
+
+// conn is one driver connection: the generator, the arrival schedule and
+// the measurement state both transports share. Counters are atomic because
+// monitors sample them while traffic flows.
+type conn struct {
+	tr      transport
+	shards  int
 	wl      workload.Workload
 	rng     *workload.Rand
-	shards  int
-	procID  map[string]uint32
-	procIdx map[string]uint16 // procedure -> index into Spec.ProcNames()
-	rlog    *olog.ConnLog     // request-log capture buffer; nil when -reqlog is off
+	pc      *pacer // open loop: the deterministic (profile-shaped) arrival schedule
+	part    int    // next partition, round-robin
+	procIdx map[string]uint16
+	rlog    *olog.ConnLog // request-log capture buffer; nil when ReqLog is off
 
-	wbuf   wire.Buffer
-	window int
-	ring   []slot
-	// tokens carries free slot indexes: a slot is exclusively owned from the
-	// moment the sender receives its index until the reader finishes with
-	// the matching response and returns it. Responses may complete out of
-	// order across shards, so slots cannot simply be reqID mod window — the
-	// free-list is what prevents a live slot from being overwritten (and the
-	// channel hand-off is the happens-before edge between the two
-	// goroutines' accesses to the slot). tokens is never closed — a sender
-	// that took a slot and then stopped can always hand it back; done (closed
-	// by the reader on exit) is what wakes a sender blocked on an empty
-	// free list.
-	tokens chan int
-	done   chan struct{}
+	base         time.Time
+	warmEnd, end int64 // window bounds, ns since base
 
-	hist     *metrics.Histogram
-	ops      atomic.Uint64
-	errs     atomic.Uint64
-	rejected atomic.Uint64
-	shed     atomic.Uint64
-	stop     atomic.Bool
-	dirty    atomic.Bool // finish() abandoned the in-flight tail at its deadline
-	inflight atomic.Int64
+	hist      *metrics.Histogram
+	ops       atomic.Uint64
+	errs      atomic.Uint64
+	rejected  atomic.Uint64
+	shed      atomic.Uint64
+	multiPart atomic.Uint64
+	stop      atomic.Bool
+	dirty     atomic.Bool // the transport abandoned its in-flight tail at a deadline
 	// lastMeasured is the completion time (ns since base) of the newest
 	// response recorded in the measurement window; it bounds the effective
 	// window when a run ends early (server drain, socket error).
 	lastMeasured atomic.Int64
 }
 
-// dial connects, consumes Hello (verifying the workload spec), and prepares
-// every procedure the generator can emit.
-func dial(cfg Config, idx int) (*clientConn, error) {
-	nc, err := net.Dial("tcp", cfg.Addr)
-	if err != nil {
-		return nil, err
-	}
-	c := &clientConn{
-		cfg:     cfg,
-		idx:     idx,
-		nc:      nc,
-		br:      bufio.NewReaderSize(nc, 64<<10),
-		rng:     workload.NewRand(cfg.Seed ^ 0x5eed<<32 ^ uint64(idx)*1_000_003),
-		procID:  make(map[string]uint32),
-		procIdx: make(map[string]uint16),
-		window:  cfg.Pipeline,
-		hist:    &metrics.Histogram{},
-	}
-	c.ring = make([]slot, c.window)
-	c.tokens = make(chan int, c.window)
-	c.done = make(chan struct{})
-	for i := 0; i < c.window; i++ {
-		c.tokens <- i
-	}
-
-	var frame []byte
-	var typ byte
-	var payload []byte
-	typ, payload, frame, err = wire.ReadFrame(c.br, frame)
-	if err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("reading hello: %w", err)
-	}
-	if typ != wire.MsgHello {
-		nc.Close()
-		return nil, fmt.Errorf("expected hello, got frame %#x", typ)
-	}
-	r := wire.NewReader(payload)
-	ver := r.U8()
-	c.shards = int(r.U16())
-	serverSpec := r.Str()
-	if r.Err != nil || ver != wire.Version {
-		nc.Close()
-		return nil, fmt.Errorf("bad hello (version %d): %v", ver, r.Err)
-	}
-	if want := cfg.Spec.String(); serverSpec != want {
-		nc.Close()
-		return nil, fmt.Errorf("workload mismatch: server serves %q, driver generates %q", serverSpec, want)
-	}
-	c.wl = cfg.Spec.New(c.shards)
-
-	// Prepare every procedure synchronously (no other traffic in flight).
-	for i, name := range cfg.Spec.ProcNames() {
-		c.wbuf.Reset(wire.MsgPrepare)
-		c.wbuf.U32(uint32(i))
-		c.wbuf.Str(name)
-		if _, err := nc.Write(c.wbuf.Bytes()); err != nil {
-			nc.Close()
-			return nil, err
-		}
-		typ, payload, frame, err = wire.ReadFrame(c.br, frame)
-		if err != nil {
-			nc.Close()
-			return nil, err
-		}
-		pr := wire.NewReader(payload)
-		switch typ {
-		case wire.MsgPrepared:
-			_ = pr.U32() // reqID
-			c.procID[name] = pr.U32()
-			c.procIdx[name] = uint16(i)
-		case wire.MsgErr:
-			_ = pr.U32()
-			msg := pr.Str()
-			nc.Close()
-			return nil, fmt.Errorf("prepare %q: %s", name, msg)
-		default:
-			nc.Close()
-			return nil, fmt.Errorf("prepare %q: unexpected frame %#x", name, typ)
-		}
-		if pr.Err != nil {
-			nc.Close()
-			return nil, pr.Err
-		}
-	}
-	return c, nil
+// slot describes one request from send to answer.
+type slot struct {
+	sched   int64  // scheduled arrival, ns since base
+	start   int64  // actual send, ns since base (== sched in closed loop)
+	shard   uint16 // routed partition
+	proc    uint16 // procedure index into Spec.ProcNames()
+	measure bool   // scheduled inside the measurement window
+	multi   bool   // sent as a multi-partition (2PC) transaction
 }
 
-// sendLoop generates and sends requests until the measurement window ends
-// (or the server starts draining), then waits out the in-flight tail and
-// closes the socket to release the reader.
-func (c *clientConn) sendLoop(base time.Time, warmEnd, end int64) {
-	defer c.finish()
+func (c *conn) now() int64 { return time.Since(c.base).Nanoseconds() }
 
-	var id uint32 // request ID = the owned slot index
-	var pc *pacer // open loop: the deterministic (profile-shaped) arrival schedule
-	measure := float64(end - warmEnd)
-	if c.cfg.Rate > 0 {
-		pc = newPacer(c.cfg, c.idx)
+// arrival returns the next request's scheduled time: now in closed loop, the
+// pacer's next slot in open loop (sleeping until it). ok is false once the
+// schedule leaves the window.
+func (c *conn) arrival() (sched int64, ok bool) {
+	now := c.now()
+	if c.pc == nil {
+		return now, now < c.end
 	}
-	part := c.idx % c.shards
-
-	for !c.stop.Load() {
-		now := time.Since(base).Nanoseconds()
-		sched := now
-		if pc != nil {
-			sched = warmEnd + int64(pc.next()*measure)
-			if sched > now {
-				time.Sleep(time.Duration(sched-now) * time.Nanosecond)
-			}
-		}
-		if sched >= end {
-			return
-		}
-		var slotIdx int
-		select {
-		case slotIdx = <-c.tokens: // in-flight cap (and the closed-loop pacing itself)
-		case <-c.done:
-			return
-		}
-		if c.stop.Load() {
-			// Stopped after winning the slot: hand the token back so finish()
-			// can account for the whole free list and drain cleanly instead of
-			// leaning on its deadline. Never blocks — we hold the only claim
-			// on this token and capacity equals the slot count.
-			c.tokens <- slotIdx
-			return
-		}
-
-		p := part
-		part = (part + 1) % c.shards
-		call := c.wl.Gen(c.rng, p, c.shards)
-		procID, ok := c.procID[call.Proc]
-		if !ok {
-			panic(fmt.Sprintf("driver: generator emitted unprepared procedure %q", call.Proc))
-		}
-		id = uint32(slotIdx)
-		sl := &c.ring[slotIdx]
-		start := sched
-		if c.cfg.Rate == 0 {
-			sched = time.Since(base).Nanoseconds() // closed loop: actual send
-			start = sched
-		} else {
-			start = time.Since(base).Nanoseconds() // open loop: sender may lag its schedule
-		}
-		sl.sched = sched
-		sl.start = start
-		sl.shard = uint16(p)
-		sl.proc = c.procIdx[call.Proc]
-		sl.measure = sched >= warmEnd && sched < end
-
-		c.wbuf.Reset(wire.MsgExec)
-		c.wbuf.U32(id)
-		c.wbuf.U32(procID)
-		c.wbuf.U16(uint16(p))
-		c.wbuf.U16(uint16(len(call.Args)))
-		for _, a := range call.Args {
-			if a.S != nil {
-				c.wbuf.U8(wire.TagBytes)
-				c.wbuf.Blob(a.S)
-			} else {
-				c.wbuf.U8(wire.TagLong)
-				c.wbuf.I64(a.I)
-			}
-		}
-		c.inflight.Add(1)
-		if _, err := c.nc.Write(c.wbuf.Bytes()); err != nil {
-			c.stop.Store(true)
-			return
-		}
+	sched = c.warmEnd + int64(c.pc.next()*float64(c.end-c.warmEnd))
+	if sched > now {
+		time.Sleep(time.Duration(sched - now))
 	}
+	return sched, sched < c.end
 }
 
-// finish reclaims the in-flight tail (bounded) and closes the socket. A
-// deadline firing means tokens went missing or the server sat on responses —
-// it is recorded in dirty and surfaces as Report.DirtyDrains.
-func (c *clientConn) finish() {
-	deadline := time.NewTimer(5 * time.Second)
-	defer deadline.Stop()
-	for c.inflight.Load() > 0 {
-		select {
-		case <-c.tokens:
-		case <-c.done:
-			// Reader gone (socket error or drain): the in-flight tail is
-			// forfeited, nothing more will arrive.
-			c.nc.Close()
-			return
-		case <-deadline.C:
-			c.dirty.Store(true)
-			c.nc.Close()
-			return
-		}
+// gen draws the next call for the next partition in round-robin order and
+// opens its slot, stamped with the send time. Closed loop schedules each
+// request at its actual send; open loop keeps the pacer's slot, so a
+// lagging sender is charged for its lag.
+func (c *conn) gen(sched int64) (workload.Call, slot) {
+	p := c.part
+	c.part = (c.part + 1) % c.shards
+	call := c.wl.Gen(c.rng, p, c.shards)
+	proc, ok := c.procIdx[call.Proc]
+	if !ok {
+		panic(fmt.Sprintf("driver: generator emitted unprepared procedure %q", call.Proc))
 	}
-	c.nc.Close()
+	sl := slot{sched: sched, start: c.now(), shard: uint16(p), proc: proc}
+	if c.pc == nil {
+		sl.sched = sl.start
+	}
+	sl.measure = sl.sched >= c.warmEnd && sl.sched < c.end
+	return call, sl
 }
 
-// readLoop consumes responses, records measured latencies, and returns
-// tokens to the sender.
-func (c *clientConn) readLoop(base time.Time, warmEnd, end int64) {
-	var frame []byte
-	for {
-		typ, payload, f, err := wire.ReadFrame(c.br, frame)
-		if err != nil {
-			c.stop.Store(true)
-			close(c.done) // wake and stop a sender blocked on a slot
-			return
+// record accounts one answered request: the request-log record, then the
+// counters. A drain refusal counts as rejected and stops the connection; a
+// shed counts as shed and leaves the histogram alone (a fast reject is not
+// a serviced op); everything else measured is an op, and a failed one an
+// error as well.
+//
+//oltpsim:hotpath
+func (c *conn) record(sl *slot, done int64, st wire.Status) {
+	if c.rlog != nil {
+		var flags uint8
+		if sl.measure {
+			flags |= olog.FlagMeasured
 		}
-		frame = f
-		r := wire.NewReader(payload)
-		id := r.U32()
-		isErr := typ == wire.MsgErr
-		var msg string
-		if isErr {
-			msg = r.Str()
+		if sl.multi {
+			flags |= olog.FlagMultiPart
 		}
-		if r.Err != nil {
-			c.stop.Store(true)
-			close(c.done)
-			return
+		c.rlog.Record(olog.Rec{
+			Sched:  sl.sched,
+			Start:  sl.start,
+			Done:   done,
+			Shard:  sl.shard,
+			Proc:   sl.proc,
+			Status: st,
+			Flags:  flags,
+		})
+	}
+	switch {
+	case st == wire.StatusDrain:
+		c.rejected.Add(1)
+		c.stop.Store(true)
+	case !sl.measure:
+	case st == wire.StatusOverload:
+		c.shed.Add(1)
+	default:
+		c.hist.Record(uint64(max(done-sl.sched, 0)))
+		c.ops.Add(1)
+		if st != wire.StatusOK {
+			c.errs.Add(1)
+		} else if sl.multi {
+			c.multiPart.Add(1)
 		}
-		if int(id) >= c.window {
-			c.stop.Store(true)
-			close(c.done)
-			return // corrupt response ID
+		if done > c.lastMeasured.Load() {
+			c.lastMeasured.Store(done)
 		}
-		sl := &c.ring[id]
-		now := time.Since(base).Nanoseconds()
-		if c.rlog != nil {
-			st := olog.StatusOK
-			switch {
-			case isErr && msg == wire.ErrDraining:
-				st = olog.StatusDrain
-			case isErr && msg == wire.ErrOverload:
-				st = olog.StatusOverload
-			case isErr:
-				st = olog.StatusAbort
-			}
-			var flags uint8
-			if sl.measure {
-				flags |= olog.FlagMeasured
-			}
-			c.rlog.Record(olog.Rec{
-				Sched:  sl.sched,
-				Start:  sl.start,
-				Done:   now,
-				Shard:  sl.shard,
-				Proc:   sl.proc,
-				Status: st,
-				Flags:  flags,
-			})
-		}
-		if isErr && msg == wire.ErrDraining {
-			c.rejected.Add(1)
-			c.stop.Store(true)
-		} else if isErr && msg == wire.ErrOverload {
-			// Shed by admission control: the server refused this one request
-			// but the connection lives on — count it, keep the offered
-			// schedule, and leave the latency histogram alone (a fast reject
-			// is not a serviced op).
-			if sl.measure {
-				c.shed.Add(1)
-			}
-		} else if sl.measure {
-			lat := now - sl.sched
-			if lat < 0 {
-				lat = 0
-			}
-			c.hist.Record(uint64(lat))
-			c.ops.Add(1)
-			if isErr {
-				c.errs.Add(1)
-			}
-			if now > c.lastMeasured.Load() {
-				c.lastMeasured.Store(now)
-			}
-		}
-		c.inflight.Add(-1)
-		c.tokens <- int(id) // return the slot (never blocks: capacity = window)
 	}
 }

@@ -214,7 +214,7 @@ type obsSnap struct {
 // from inside run(); successive snapshots are differenced into timeline rows.
 type observer struct {
 	sc      ScenarioConfig
-	conns   []*clientConn
+	conns   []*conn
 	base    time.Time
 	warmEnd int64
 	end     int64
@@ -223,7 +223,7 @@ type observer struct {
 	rows    []TimelineRow
 }
 
-func (o *observer) start(conns []*clientConn, base time.Time, warmEnd, end int64) {
+func (o *observer) start(conns []*conn, base time.Time, warmEnd, end int64) {
 	o.conns = conns
 	o.base = base
 	o.warmEnd = warmEnd

@@ -46,8 +46,11 @@ type Tx struct {
 // Part returns the transaction's partition.
 func (tx *Tx) Part() int { return tx.part }
 
-// Args returns the invocation arguments.
-func (tx *Tx) Args() []catalog.Value { return tx.args }
+// Args returns the invocation arguments, capped at their length: callers
+// such as the server pass pooled slices with spare capacity, and a
+// procedure slicing past its arguments must fail rather than read a stale
+// value.
+func (tx *Tx) Args() []catalog.Value { return tx.args[:len(tx.args):len(tx.args)] }
 
 // ArgI returns argument i as a Long.
 func (tx *Tx) ArgI(i int) int64 { return tx.args[i].I }

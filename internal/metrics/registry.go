@@ -302,7 +302,7 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 }
 
 // Parse reads an exposition produced by Render back into samples keyed by
-// "name{labels}" — the inverse used by tests and the serve-smoke script to
+// "name{labels}" — the inverse used by tests (including the e2e TestSmoke) to
 // assert on scraped values. Comment and blank lines are skipped.
 func Parse(text string) (map[string]float64, error) {
 	out := make(map[string]float64)

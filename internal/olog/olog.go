@@ -31,6 +31,8 @@ import (
 	"io"
 	"math"
 	"os"
+
+	"oltpsim/internal/wire"
 )
 
 // Version is the current format version. Decode accepts files up to and
@@ -40,37 +42,19 @@ const Version = 1
 // magic is the file signature.
 var magic = [4]byte{'O', 'L', 'O', 'G'}
 
-// Status is a request's outcome as the driver observed it.
-type Status uint8
+// Status is a request's outcome as the driver observed it: the wire
+// protocol's status vocabulary, stored on disk as its byte value.
+type Status = wire.Status
 
+// The statuses a record can carry, documented on wire.Status: ok, abort
+// (serviced but failed), overload (shed, never serviced) and drain
+// (refused by a draining server).
 const (
-	// StatusOK is a serviced, committed request.
-	StatusOK Status = iota
-	// StatusAbort is a serviced request the engine aborted (an error
-	// response that is neither overload nor drain).
-	StatusAbort
-	// StatusOverload is a request shed by admission control
-	// (wire.ErrOverload): fast-rejected, never serviced.
-	StatusOverload
-	// StatusDrain is a request refused by a draining server
-	// (wire.ErrDraining).
-	StatusDrain
+	StatusOK       = wire.StatusOK
+	StatusAbort    = wire.StatusAbort
+	StatusOverload = wire.StatusOverload
+	StatusDrain    = wire.StatusDrain
 )
-
-// String names the status for reports.
-func (s Status) String() string {
-	switch s {
-	case StatusOK:
-		return "ok"
-	case StatusAbort:
-		return "abort"
-	case StatusOverload:
-		return "overload"
-	case StatusDrain:
-		return "drain"
-	}
-	return fmt.Sprintf("status(%d)", uint8(s))
-}
 
 // Record flag bits.
 const (

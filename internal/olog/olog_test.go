@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"oltpsim/internal/olog"
+	"oltpsim/internal/wire"
 )
 
 func sampleHeader() olog.Header {
@@ -66,6 +67,40 @@ func TestRoundTrip(t *testing.T) {
 			if gotRecs[i] != recs[i] {
 				t.Fatalf("n=%d: record %d mismatch\n got %+v\nwant %+v", n, i, gotRecs[i], recs[i])
 			}
+		}
+	}
+}
+
+// TestStatusOnDisk pins the status byte a record stores to the wire
+// protocol's status values: the two share one vocabulary, and logs written
+// before they did must decode unchanged.
+func TestStatusOnDisk(t *testing.T) {
+	for _, tc := range []struct {
+		st   wire.Status
+		b    byte
+		name string
+	}{
+		{wire.StatusOK, 0, "ok"},
+		{wire.StatusAbort, 1, "abort"},
+		{wire.StatusOverload, 2, "overload"},
+		{wire.StatusDrain, 3, "drain"},
+	} {
+		hdr := sampleHeader()
+		var buf bytes.Buffer
+		if err := olog.Encode(&buf, &hdr, []olog.Rec{{Sched: 5, Start: 6, Done: 9, Status: tc.st}}); err != nil {
+			t.Fatal(err)
+		}
+		out := buf.Bytes()
+		// A record ends with its status byte and flags byte.
+		if got := out[len(out)-2]; got != tc.b {
+			t.Fatalf("%v: status byte on disk = %d, want %d", tc.st, got, tc.b)
+		}
+		_, recs, err := olog.DecodeBytes(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recs[0].Status != tc.st || recs[0].Status.String() != tc.name {
+			t.Fatalf("byte %d decodes as %v, want %s", tc.b, recs[0].Status, tc.name)
 		}
 	}
 }

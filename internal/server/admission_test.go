@@ -43,7 +43,7 @@ func (c *testClient) commit2PC(reqID uint32, gtid uint64, part int) {
 // TestAdmissionQueueShed fills shard 0's queue deterministically — a 2PC
 // prepare parks the shard worker between vote and decision, so nothing
 // drains — then asserts that requests beyond AdmitQueueMax are shed with
-// wire.ErrOverload (connection stays up, shed counted in oltpd_shed_total,
+// wire.StatusOverload (connection stays up, shed counted in oltpd_shed_total,
 // NOT in the drain-reject counter) while every queued request still completes
 // once the worker resumes.
 func TestAdmissionQueueShed(t *testing.T) {
@@ -87,8 +87,8 @@ func TestAdmissionQueueShed(t *testing.T) {
 		}
 		r := wire.NewReader(payload)
 		_ = r.U32()
-		if msg := r.Str(); msg != wire.ErrOverload {
-			t.Fatalf("shed response %d: error %q, want %q", i, msg, wire.ErrOverload)
+		if st := r.Status(); st != wire.StatusOverload {
+			t.Fatalf("shed response %d: status %v (%q), want %v", i, st, payload, wire.StatusOverload)
 		}
 	}
 
@@ -170,7 +170,7 @@ func TestAdmissionLatencyShed(t *testing.T) {
 }
 
 // TestAdmissionOffKeepsBackpressure: with neither bound configured the server
-// must never emit ErrOverload — full queues mean blocking backpressure, as
+// must never emit wire.StatusOverload — full queues mean blocking backpressure, as
 // before.
 func TestAdmissionOffKeepsBackpressure(t *testing.T) {
 	cfg := microConfig(2)

@@ -83,7 +83,7 @@ func (c *conn) serve() {
 				return
 			}
 		default:
-			c.sendErr(0, fmt.Sprintf("oltpd: unexpected frame type %#x", typ))
+			c.sendErr(0, wire.StatusAbort, fmt.Sprintf("oltpd: unexpected frame type %#x", typ))
 			return
 		}
 	}
@@ -99,7 +99,7 @@ func (c *conn) handlePrepare(payload []byte) bool {
 	}
 	id, ok := c.s.procIDs[name]
 	if !ok {
-		c.sendErr(reqID, fmt.Sprintf("oltpd: unknown procedure %q", name))
+		c.sendErr(reqID, wire.StatusAbort, fmt.Sprintf("oltpd: unknown procedure %q", name))
 		return true
 	}
 	c.writeMu.Lock()
@@ -142,15 +142,15 @@ func (c *conn) admitCall(r *wire.Reader, reqID, procID uint32, part int, gtid ui
 		return false
 	}
 	if int(procID) >= len(c.s.procNames) {
-		c.sendErr(reqID, fmt.Sprintf("oltpd: procedure id %d not prepared", procID))
+		c.sendErr(reqID, wire.StatusAbort, fmt.Sprintf("oltpd: procedure id %d not prepared", procID))
 		return true
 	}
 	if part < 0 || part >= c.s.Shards() {
-		c.sendErr(reqID, fmt.Sprintf("oltpd: partition %d out of range", part))
+		c.sendErr(reqID, wire.StatusAbort, fmt.Sprintf("oltpd: partition %d out of range", part))
 		return true
 	}
 	if !c.s.ownsShard(part) {
-		c.sendErr(reqID, fmt.Sprintf("oltpd: partition %d not served by this node (shard map mismatch?)", part))
+		c.sendErr(reqID, wire.StatusAbort, fmt.Sprintf("oltpd: partition %d not served by this node (shard map mismatch?)", part))
 		return true
 	}
 
@@ -189,7 +189,7 @@ func (c *conn) admitCall(r *wire.Reader, reqID, procID uint32, part int, gtid ui
 			}
 		default:
 			putRequest(req)
-			c.sendErr(reqID, fmt.Sprintf("oltpd: bad argument tag %#x", tag))
+			c.sendErr(reqID, wire.StatusAbort, fmt.Sprintf("oltpd: bad argument tag %#x", tag))
 			return true
 		}
 	}
@@ -205,12 +205,12 @@ func (c *conn) admitCall(r *wire.Reader, reqID, procID uint32, part int, gtid ui
 	case admitDraining:
 		putRequest(req)
 		c.s.rejectTotal.Add(1)
-		return c.sendErr(reqID, ErrDraining)
+		return c.sendErr(reqID, wire.StatusDrain, msgDraining)
 	case admitShed:
 		// Shed, not drained: the connection stays up and the client keeps its
 		// offered schedule; shedTotal (not rejectTotal) already counted it.
 		putRequest(req)
-		return c.sendErr(reqID, wire.ErrOverload)
+		return c.sendErr(reqID, wire.StatusOverload, msgOverload)
 	}
 	return true
 }
@@ -233,7 +233,7 @@ func (c *conn) handleDecision(typ byte, payload []byte) bool {
 	}
 	commit := typ == wire.MsgCommit2PC
 	if part < 0 || part >= c.s.Shards() || !c.s.ownsShard(part) {
-		return c.sendErr(reqID, fmt.Sprintf("oltpd: partition %d not served by this node", part))
+		return c.sendErr(reqID, wire.StatusAbort, fmt.Sprintf("oltpd: partition %d not served by this node", part))
 	}
 	slot := &c.s.pend[part]
 	slot.mu.Lock()
@@ -246,7 +246,7 @@ func (c *conn) handleDecision(typ byte, payload []byte) bool {
 	}
 	slot.mu.Unlock()
 	if commit {
-		return c.sendErr(reqID, fmt.Sprintf("oltpd: commit for unknown 2PC transaction %d on partition %d", gtid, part))
+		return c.sendErr(reqID, wire.StatusAbort, fmt.Sprintf("oltpd: commit for unknown 2PC transaction %d on partition %d", gtid, part))
 	}
 	return c.respondID(reqID, nil)
 }
@@ -260,7 +260,7 @@ func (c *conn) respond(req *request, err error) {
 // connection is gone.
 func (c *conn) respondID(reqID uint32, err error) bool {
 	if err != nil {
-		return c.sendErr(reqID, err.Error())
+		return c.sendErr(reqID, wire.StatusAbort, err.Error())
 	}
 	c.writeMu.Lock()
 	c.wbuf.Reset(wire.MsgOK)
@@ -286,11 +286,19 @@ func (c *conn) sendVote(reqID uint32, commit bool, reason string) bool {
 	return err == nil
 }
 
+// Err-frame texts of the two refusals. Clients act on the frame's status
+// byte; the text is for humans.
+const (
+	msgDraining = "oltpd: draining"
+	msgOverload = "oltpd: overload"
+)
+
 // sendErr writes an Err frame; returns false if the connection is gone.
-func (c *conn) sendErr(reqID uint32, msg string) bool {
+func (c *conn) sendErr(reqID uint32, st wire.Status, msg string) bool {
 	c.writeMu.Lock()
 	c.wbuf.Reset(wire.MsgErr)
 	c.wbuf.U32(reqID)
+	c.wbuf.U8(byte(st))
 	c.wbuf.Str(msg)
 	err := c.write(c.wbuf.Bytes())
 	c.writeMu.Unlock()

@@ -28,7 +28,6 @@ import (
 	"oltpsim/internal/engine"
 	"oltpsim/internal/metrics"
 	"oltpsim/internal/systems"
-	"oltpsim/internal/wire"
 	"oltpsim/internal/workload"
 )
 
@@ -71,14 +70,14 @@ type Config struct {
 
 	// AdmitQueueMax, when > 0, enables queue-depth admission control: a
 	// request arriving for a shard whose queue already holds AdmitQueueMax
-	// requests is shed with wire.ErrOverload instead of applying unbounded
+	// requests is shed with wire.StatusOverload instead of applying unbounded
 	// backpressure. Shed responses are counted in oltpd_shed_total.
 	AdmitQueueMax int
 	// AdmitLatencyMax, when > 0, enables latency admission control: a
 	// request arriving for a shard whose recent mean service latency
 	// (an EWMA over completions, arrival to response) exceeds the bound —
 	// while requests are still queued, so the signal is current — is shed
-	// with wire.ErrOverload. Both bounds may be combined; either sheds.
+	// with wire.StatusOverload. Both bounds may be combined; either sheds.
 	AdmitLatencyMax time.Duration
 }
 
@@ -337,8 +336,8 @@ type admitVerdict int
 
 const (
 	admitOK       admitVerdict = iota // queued; the shard worker will respond
-	admitDraining                     // server shutting down: refuse with ErrDraining
-	admitShed                         // admission control shed it: refuse with ErrOverload
+	admitDraining                     // server shutting down: refuse with wire.StatusDrain
+	admitShed                         // admission control shed it: refuse with wire.StatusOverload
 )
 
 // admit routes a decoded request to its shard queue, or refuses it: draining
@@ -542,7 +541,7 @@ func (s *Server) finishReq(w int, r *request) {
 }
 
 // Shutdown drains the server: it stops accepting connections, refuses new
-// requests (clients get ErrDraining responses), waits until every admitted
+// requests (clients get wire.StatusDrain responses), waits until every admitted
 // request has had its response written, then closes every connection and
 // stops the shard workers. Safe to call more than once.
 func (s *Server) Shutdown() {
@@ -567,7 +566,7 @@ func (s *Server) Shutdown() {
 }
 
 // Drain puts the server into its draining state without closing it: the
-// listener stops accepting, new requests are refused with ErrDraining, but
+// listener stops accepting, new requests are refused with wire.StatusDrain, but
 // established connections and already-admitted work proceed to completion.
 // Idempotent; Shutdown drains first and then completes the close.
 func (s *Server) Drain() {
@@ -582,11 +581,6 @@ func (s *Server) Drain() {
 		s.ln.Close()
 	}
 }
-
-// ErrDraining is the error text clients receive for requests that arrive
-// while the server is shutting down (see wire.ErrDraining; the driver
-// recognizes it and stops the connection cleanly).
-const ErrDraining = wire.ErrDraining
 
 // --- request pool ----------------------------------------------------------
 
@@ -687,7 +681,7 @@ func (s *Server) registerMetrics() {
 		perShard("oltpd_2pc_commits_total", func(i int) float64 { return float64(s.cmt2pcTotal[i].Load()) }))
 	twopc.Register("oltpd_2pc_aborts_total", "counter", "2PC branches aborted per shard (NO votes, abort decisions, decision timeouts)",
 		perShard("oltpd_2pc_aborts_total", func(i int) float64 { return float64(s.abt2pcTotal[i].Load()) }))
-	serving.Register("oltpd_shed_total", "counter", "requests shed by admission control per shard (wire.ErrOverload)",
+	serving.Register("oltpd_shed_total", "counter", "requests shed by admission control per shard (wire.StatusOverload)",
 		perShard("oltpd_shed_total", func(i int) float64 { return float64(s.shedTotal[i].Load()) }))
 	serving.Register("oltpd_admit_latency_ewma_seconds", "gauge", "per-shard service-latency EWMA driving latency admission control",
 		perShard("oltpd_admit_latency_ewma_seconds", func(i int) float64 { return float64(s.svcEWMA[i].Load()) * 1e-9 }))

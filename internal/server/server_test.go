@@ -264,8 +264,8 @@ func TestGracefulShutdown(t *testing.T) {
 		case wire.MsgErr:
 			r := wire.NewReader(payload)
 			_ = r.U32()
-			if msg := r.Str(); msg != wire.ErrDraining {
-				t.Fatalf("unexpected error response: %q", msg)
+			if st := r.Status(); st != wire.StatusDrain {
+				t.Fatalf("unexpected error response: %v %q", st, payload)
 			}
 			draining++
 		default:

@@ -6,7 +6,8 @@ import (
 )
 
 // FuzzTwoPC guards the 2PC frame codec the cluster tier depends on
-// (internal/cluster coordinator ↔ internal/server participant). Three
+// (internal/cluster coordinator ↔ internal/server participant), plus the Err
+// frame whose status byte answers a refused prepare or decision. Three
 // properties over arbitrary byte streams:
 //
 //  1. decoding never panics — malformed input latches Reader.Err;
@@ -56,6 +57,14 @@ func FuzzTwoPC(f *testing.F) {
 		w.U8(0)
 		w.Str("engine: key not found")
 	})
+	for _, st := range []Status{StatusAbort, StatusOverload, StatusDrain} {
+		seed(func(w *Buffer) { // Err: a NO vote from admission, or a refused decision
+			w.Reset(MsgErr)
+			w.U32(7)
+			w.U8(byte(st))
+			w.Str("oltpd: " + st.String())
+		})
+	}
 	seed(func(w *Buffer) {
 		w.Reset(MsgCommit2PC)
 		w.U32(8)
@@ -75,7 +84,7 @@ func FuzzTwoPC(f *testing.F) {
 			return // framing layer rejected it; nothing to decode
 		}
 		switch typ {
-		case MsgPrepare2PC, MsgVote, MsgCommit2PC, MsgAbort2PC:
+		case MsgPrepare2PC, MsgVote, MsgCommit2PC, MsgAbort2PC, MsgErr:
 		default:
 			return
 		}
@@ -139,6 +148,14 @@ func decodeReencode(typ byte, payload []byte, w *Buffer) bool {
 		w.U32(r.U32())
 		w.U64(r.U64())
 		w.U16(r.U16())
+	case MsgErr:
+		w.U32(r.U32())
+		st := r.U8()
+		if sr := NewReader([]byte{st}); sr.Status() != Status(st) {
+			return false // not a failure status: it decodes as an abort, not canonically
+		}
+		w.U8(st)
+		w.Str(r.Str())
 	}
 	return r.Err == nil && r.Remaining() == 0
 }

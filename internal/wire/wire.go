@@ -1,13 +1,15 @@
 // Package wire defines the oltpd client/server protocol: length-prefixed
 // binary frames carrying prepare/exec/result messages. Both ends of the
-// serving loop — internal/server (oltpd) and internal/driver (oltpdrive) —
-// speak exactly this codec.
+// serving loop — internal/server (oltpd) and the clients in internal/driver
+// (oltpdrive) and internal/cluster (the routing 2PC coordinator) — speak
+// exactly this codec, and share its client handshake (Handshake) and
+// argument encoder (Buffer.Args).
 //
 // Framing (all integers little-endian):
 //
 //	u32 length | u8 type | payload[length-1]
 //
-// Messages:
+// Messages (protocol version 2):
 //
 //	Hello    (server→client, on accept): u8 version | u16 shards |
 //	         u16 len | workload-spec string
@@ -16,7 +18,14 @@
 //	Exec     (client→server): u32 reqID | u32 procID | u16 part |
 //	         u16 argc | argc × arg
 //	OK       (server→client): u32 reqID
-//	Err      (server→client): u32 reqID | u16 len | message
+//	Err      (server→client): u32 reqID | u8 status | u16 len | message
+//
+// The Err frame's status byte is the outcome clients act on; the message is
+// for humans only. Its values are the Status constants, numbered as the
+// request log (internal/olog) stores them on disk: 1 abort (the request
+// failed: an engine abort or a request the server could not run), 2
+// overload (shed by admission control; the connection stays up), 3 drain
+// (refused by a draining server; the connection is winding down).
 //
 // Two-phase-commit messages (the cluster serving tier, internal/cluster):
 //
@@ -44,10 +53,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"oltpsim/internal/catalog"
 )
 
 // Version is the protocol version exchanged in Hello.
-const Version = 1
+const Version = 2
 
 // Frame type bytes.
 const (
@@ -75,17 +86,60 @@ const (
 // socket turning into a huge allocation.
 const MaxFrame = 1 << 20
 
-// ErrDraining is the Err-frame text a draining server sends for requests it
-// refuses; clients recognize it and wind the connection down cleanly.
-const ErrDraining = "oltpd: draining"
+// Status is a request's outcome: OK for an OK frame, and the status byte of
+// an Err frame otherwise. The request log (internal/olog) stores these
+// values on disk, so they never change.
+type Status uint8
 
-// ErrOverload is the Err-frame text an overloaded server sends for requests
-// its per-shard admission control sheds (queue depth or measured service
-// latency over the configured bound). Unlike ErrDraining it is a transient
-// verdict about THIS request only: the connection stays up and clients keep
-// sending — the warp-style drivers count shed responses separately from
-// errors and keep their offered schedule.
-const ErrOverload = "oltpd: overload"
+const (
+	// StatusOK is a serviced, committed request.
+	StatusOK Status = iota
+	// StatusAbort is a failed request: the engine aborted it, or the server
+	// could not run it (unknown procedure, partition not served, ...).
+	StatusAbort
+	// StatusOverload is a request shed by admission control: fast-rejected,
+	// never serviced. Unlike StatusDrain it is a verdict about this request
+	// only — the connection stays up and clients keep their schedule.
+	StatusOverload
+	// StatusDrain is a request refused by a draining server; clients wind
+	// the connection down.
+	StatusDrain
+)
+
+// String names the status for reports.
+func (s Status) String() string {
+	switch s {
+	case StatusOK:
+		return "ok"
+	case StatusAbort:
+		return "abort"
+	case StatusOverload:
+		return "overload"
+	case StatusDrain:
+		return "drain"
+	}
+	return fmt.Sprintf("status(%d)", uint8(s))
+}
+
+// Error is an Err frame as a Go error: the typed status plus the server's
+// message. Clients classify failures with errors.As on *Error, never by the
+// message text.
+type Error struct {
+	Status Status
+	Msg    string
+}
+
+func (e *Error) Error() string { return e.Msg }
+
+// DecodeErr decodes an Err frame's body after the request ID.
+func DecodeErr(r *Reader) error {
+	st := r.Status()
+	msg := r.Str()
+	if r.Err != nil {
+		return r.Err
+	}
+	return &Error{Status: st, Msg: msg}
+}
 
 // Buffer accumulates one outgoing frame. The zero value is ready; the
 // backing array is reused across frames, so steady-state encoding does not
@@ -149,6 +203,23 @@ func (w *Buffer) Str(s string) {
 func (w *Buffer) Blob(b []byte) {
 	w.U32(uint32(len(b)))
 	w.b = append(w.b, b...)
+}
+
+// Args appends an Exec/Prepare2PC argument list: u16 argc, then each value
+// tagged (TagBytes for a byte string, TagLong otherwise).
+//
+//oltpsim:hotpath
+func (w *Buffer) Args(args []catalog.Value) {
+	w.U16(uint16(len(args)))
+	for _, a := range args {
+		if a.S != nil {
+			w.U8(TagBytes)
+			w.Blob(a.S)
+		} else {
+			w.U8(TagLong)
+			w.I64(a.I)
+		}
+	}
 }
 
 // ReadFrame reads one frame into buf (growing it as needed) and returns the
@@ -243,6 +314,16 @@ func (r *Reader) U64() uint64 {
 	return v
 }
 
+// Status decodes an Err frame's status byte. A byte outside the failure
+// statuses decodes as StatusAbort: an Err frame never means success.
+func (r *Reader) Status() Status {
+	switch st := Status(r.U8()); st {
+	case StatusOverload, StatusDrain:
+		return st
+	}
+	return StatusAbort
+}
+
 // Str decodes a u16-length-prefixed string (copying).
 func (r *Reader) Str() string {
 	n := int(r.U16())
@@ -270,3 +351,56 @@ func (r *Reader) Blob() []byte {
 
 // Remaining returns the undecoded byte count.
 func (r *Reader) Remaining() int { return len(r.b) }
+
+// Handshake runs the client side of connection setup: it reads the server's
+// Hello from r, checks the protocol version and workload spec, then
+// prepares every procedure in procs, in order, writing to w. It returns the
+// served shard count and the server's procedure IDs, indexed like procs.
+func Handshake(r io.Reader, w io.Writer, spec string, procs []string) (shards int, ids []uint32, err error) {
+	typ, payload, frame, err := ReadFrame(r, nil)
+	if err != nil {
+		return 0, nil, fmt.Errorf("reading hello: %w", err)
+	}
+	if typ != MsgHello {
+		return 0, nil, fmt.Errorf("expected hello, got frame %#x", typ)
+	}
+	hr := NewReader(payload)
+	ver := hr.U8()
+	shards = int(hr.U16())
+	serverSpec := hr.Str()
+	if hr.Err != nil || ver != Version {
+		return 0, nil, fmt.Errorf("bad hello (version %d, want %d): %v", ver, Version, hr.Err)
+	}
+	if serverSpec != spec {
+		return 0, nil, fmt.Errorf("workload mismatch: server serves %q, client generates %q", serverSpec, spec)
+	}
+	var wb Buffer
+	ids = make([]uint32, len(procs))
+	for i, name := range procs {
+		wb.Reset(MsgPrepare)
+		wb.U32(uint32(i))
+		wb.Str(name)
+		if _, err := w.Write(wb.Bytes()); err != nil {
+			return 0, nil, err
+		}
+		typ, payload, frame, err = ReadFrame(r, frame)
+		if err != nil {
+			return 0, nil, err
+		}
+		pr := NewReader(payload)
+		_ = pr.U32() // reqID
+		switch typ {
+		case MsgPrepared:
+			ids[i] = pr.U32()
+		case MsgErr:
+			err = DecodeErr(&pr)
+			return 0, nil, fmt.Errorf("prepare %q: %w", name, err)
+		default:
+			return 0, nil, fmt.Errorf("prepare %q: unexpected frame %#x", name, typ)
+		}
+		if pr.Err != nil {
+			return 0, nil, pr.Err
+		}
+	}
+	return shards, ids, nil
+}
