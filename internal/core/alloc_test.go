@@ -109,3 +109,43 @@ func TestTracedNUMAWriteAllocs(t *testing.T) {
 		t.Errorf("cross-socket traced write allocates %.1f objects/op, want 0", avg)
 	}
 }
+
+// TestConcurrentFetchDataAllocs is the concurrent-mode twin of the gates
+// above, on the hierarchy directly: instruction fetch (with the prefetcher's
+// deferred LLC fills), reads and cross-core writes (invalidation inboxes and
+// deferred directory clears) must run on preallocated buffers once the
+// directory pages and inbox queues exist.
+func TestConcurrentFetchDataAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector shadow bookkeeping allocates; gate runs without -race")
+	}
+	h := NewHierarchy(IvyBridge(2))
+	h.SetConcurrent(true)
+	defer h.SetConcurrent(false)
+	const span = 1 << 20
+	const codeSpan = 256 << 10 // 8x the L1I: fetches miss and prefetch
+	step := func(core int, off simmem.Addr) {
+		h.FetchCode(core, simmem.CodeBase+off%codeSpan, 8)
+		h.DataAccess(core, simmem.DataBase+off, 8, true)
+		h.DataAccess(core, simmem.DataBase+(off+span/2)%span, 8, false)
+	}
+	// Warm: both cores touch the whole span, materializing directory pages
+	// and growing both inboxes to their steady-state capacity.
+	for pass := 0; pass < 2; pass++ {
+		for off := simmem.Addr(0); off < span; off += 64 {
+			step(0, off)
+			step(1, off)
+		}
+	}
+
+	off := simmem.Addr(0)
+	core := 0
+	avg := testing.AllocsPerRun(1000, func() {
+		step(core, off)
+		core = 1 - core
+		off = (off + 4096 + 64) % (span - 8)
+	})
+	if avg != 0 {
+		t.Errorf("concurrent-mode fetch and data access allocate %.1f objects/op, want 0", avg)
+	}
+}

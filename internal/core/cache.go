@@ -1,21 +1,17 @@
 package core
 
-// AccessClass distinguishes instruction from data traffic in the per-level
-// counters, mirroring the I/D split in the paper's stall breakdowns.
+// AccessClass distinguishes instruction from data traffic, mirroring the I/D
+// split in the paper's stall breakdowns. The cache itself keeps no counters:
+// callers count hits and misses from Access's result into their per-core
+// MissCounts (the PMU's source), which is what lets concurrent-mode lock
+// stripes share one tag array without racing on shared counters.
 type AccessClass int
 
 // Access classes.
 const (
 	ClassInstr AccessClass = iota
 	ClassData
-	numClasses
 )
-
-// CacheStats counts accesses and misses for one access class.
-type CacheStats struct {
-	Accesses uint64
-	Misses   uint64
-}
 
 // Cache is a set-associative cache with true-LRU replacement. Lines are
 // identified by line IDs (virtual address >> LineShift). The zero value is
@@ -34,8 +30,6 @@ type Cache struct {
 	// is the most recently used and way ways-1 the least recently used, so a
 	// hit moves the entry to the front of its set slice.
 	tags []uint64
-
-	stats [numClasses]CacheStats
 }
 
 // NewCache builds a cache with the given geometry. Non-power-of-two set
@@ -58,12 +52,6 @@ func NewCache(g CacheGeom) *Cache {
 // Geom returns the cache geometry.
 func (c *Cache) Geom() CacheGeom { return c.geom }
 
-// Stats returns the access/miss counters for the given class.
-func (c *Cache) Stats(class AccessClass) CacheStats { return c.stats[class] }
-
-// ResetStats zeroes the counters without touching cache contents.
-func (c *Cache) ResetStats() { c.stats = [numClasses]CacheStats{} }
-
 func (c *Cache) setIndex(lineID uint64) int {
 	if c.pow2 {
 		return int(lineID & c.setMask)
@@ -72,8 +60,9 @@ func (c *Cache) setIndex(lineID uint64) int {
 }
 
 // Access looks up lineID, filling it on a miss, and returns whether it hit.
-// The counters for the given class are updated. The set is scanned and
-// updated in place (one base computation per access, no move on an MRU hit).
+// class names the traffic for the caller; the cache records nothing per
+// access beyond its LRU state. The set is scanned and updated in place (one
+// base computation per access, no move on an MRU hit).
 //
 // The body is duplicated in AccessEvict rather than delegated: this is the
 // simulator's hottest function and the call indirection costs ~2ns/op (a
@@ -84,7 +73,6 @@ func (c *Cache) setIndex(lineID uint64) int {
 //
 //oltpsim:hotpath
 func (c *Cache) Access(lineID uint64, class AccessClass) bool {
-	c.stats[class].Accesses++
 	tag := lineID + 1
 	base := c.setIndex(lineID) * c.ways
 	set := c.tags[base : base+c.ways]
@@ -97,7 +85,6 @@ func (c *Cache) Access(lineID uint64, class AccessClass) bool {
 			return true
 		}
 	}
-	c.stats[class].Misses++
 	copy(set[1:], set[:c.ways-1])
 	set[0] = tag
 	return false
@@ -111,7 +98,6 @@ func (c *Cache) Access(lineID uint64, class AccessClass) bool {
 //
 //oltpsim:hotpath
 func (c *Cache) AccessEvict(lineID uint64, class AccessClass) (hit bool, evicted uint64) {
-	c.stats[class].Accesses++
 	tag := lineID + 1
 	base := c.setIndex(lineID) * c.ways
 	set := c.tags[base : base+c.ways]
@@ -124,15 +110,14 @@ func (c *Cache) AccessEvict(lineID uint64, class AccessClass) (hit bool, evicted
 			return true, 0
 		}
 	}
-	c.stats[class].Misses++
 	evicted = set[c.ways-1]
 	copy(set[1:], set[:c.ways-1])
 	set[0] = tag
 	return false, evicted
 }
 
-// Probe reports whether lineID is resident without updating counters or LRU
-// state. Intended for tests and coherence checks.
+// Probe reports whether lineID is resident without updating LRU state.
+// Intended for tests and coherence checks.
 func (c *Cache) Probe(lineID uint64) bool {
 	tag := lineID + 1
 	base := c.setIndex(lineID) * c.ways
@@ -145,10 +130,10 @@ func (c *Cache) Probe(lineID uint64) bool {
 	return false
 }
 
-// FillQuiet inserts lineID without counting an access or miss. Used by the
-// instruction prefetcher and the quiet store-allocate path. Like Access, the
-// body is kept in lockstep with its Evict variant instead of delegating (see
-// the Access comment for why).
+// FillQuiet inserts lineID; unlike Access, the caller counts no access or
+// miss for it. Used by the instruction prefetcher and the quiet
+// store-allocate path. Like Access, the body is kept in lockstep with its
+// Evict variant instead of delegating (see the Access comment for why).
 func (c *Cache) FillQuiet(lineID uint64) {
 	tag := lineID + 1
 	base := c.setIndex(lineID) * c.ways
@@ -188,7 +173,7 @@ func (c *Cache) FillQuietEvict(lineID uint64) (evicted uint64) {
 }
 
 // Lines visits every resident line ID, in no particular order, without
-// touching counters or LRU state. Intended for coherence checks.
+// touching LRU state. Intended for coherence checks.
 func (c *Cache) Lines(visit func(lineID uint64)) {
 	for _, t := range c.tags {
 		if t != 0 {

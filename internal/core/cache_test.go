@@ -19,22 +19,26 @@ func TestCacheColdMissThenHit(t *testing.T) {
 	if !c.Access(100, ClassData) {
 		t.Fatal("second access missed")
 	}
-	st := c.Stats(ClassData)
-	if st.Accesses != 2 || st.Misses != 1 {
-		t.Errorf("stats = %+v, want 2 accesses / 1 miss", st)
+	if hit, ev := c.AccessEvict(100, ClassData); !hit || ev != 0 {
+		t.Errorf("resident access = (hit %v, evicted %d), want a hit evicting nothing", hit, ev)
 	}
 }
 
+// The class labels traffic for the caller's counters only: instruction and
+// data accesses share one set of lines (the unified L2 and LLC rely on it).
 func TestCacheClassSplit(t *testing.T) {
 	c := NewCache(tinyGeom())
-	c.Access(1, ClassInstr)
-	c.Access(2, ClassData)
-	c.Access(1, ClassInstr)
-	if got := c.Stats(ClassInstr); got.Accesses != 2 || got.Misses != 1 {
-		t.Errorf("instr stats = %+v", got)
+	if c.Access(1, ClassInstr) {
+		t.Error("cold instruction access hit")
 	}
-	if got := c.Stats(ClassData); got.Accesses != 1 || got.Misses != 1 {
-		t.Errorf("data stats = %+v", got)
+	if c.Access(2, ClassData) {
+		t.Error("cold data access hit")
+	}
+	if !c.Access(1, ClassInstr) {
+		t.Error("instruction line missed on reuse")
+	}
+	if !c.Access(2, ClassInstr) {
+		t.Error("data-filled line missed when fetched as an instruction")
 	}
 }
 
@@ -42,9 +46,15 @@ func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(tinyGeom()) // 4 sets, 2 ways
 	// Lines 0, 4, 8 all map to set 0. With 2 ways, inserting 0 then 4 then 8
 	// must evict 0 (the LRU).
-	c.Access(0, ClassData)
-	c.Access(4, ClassData)
-	c.Access(8, ClassData)
+	for _, line := range []uint64{0, 4} {
+		if hit, ev := c.AccessEvict(line, ClassData); hit || ev != 0 {
+			t.Fatalf("fill of line %d into a free way = (hit %v, evicted %d)", line, hit, ev)
+		}
+	}
+	// Evicted tags are lineID+1, so line 0 reports as 1.
+	if hit, ev := c.AccessEvict(8, ClassData); hit || ev != 1 {
+		t.Fatalf("third fill of set 0 = (hit %v, evicted tag %d), want a miss evicting line 0", hit, ev)
+	}
 	if c.Probe(0) {
 		t.Error("LRU line 0 still resident after eviction")
 	}
@@ -53,7 +63,9 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	// Touching 4 makes 8 the LRU; inserting 12 must evict 8.
 	c.Access(4, ClassData)
-	c.Access(12, ClassData)
+	if ev := c.FillQuietEvict(12); ev != 8+1 {
+		t.Errorf("quiet fill evicted tag %d, want line 8's", ev)
+	}
 	if c.Probe(8) {
 		t.Error("line 8 should have been the LRU victim")
 	}
@@ -97,9 +109,11 @@ func TestCacheInvalidate(t *testing.T) {
 func TestCacheFillQuietDoesNotCount(t *testing.T) {
 	c := NewCache(tinyGeom())
 	c.FillQuiet(7)
-	st := c.Stats(ClassInstr)
-	if st.Accesses != 0 || st.Misses != 0 {
-		t.Errorf("quiet fill counted: %+v", st)
+	if !c.Probe(7) {
+		t.Fatal("quiet fill left the line absent")
+	}
+	if ev := c.FillQuietEvict(7); ev != 0 {
+		t.Errorf("quiet refill of a resident line evicted tag %d", ev)
 	}
 	if !c.Access(7, ClassInstr) {
 		t.Error("quiet-filled line missed")
@@ -113,16 +127,14 @@ func TestCacheCapacityWorkingSetFits(t *testing.T) {
 	// Two passes over a working set exactly the cache size: second pass must
 	// be all hits.
 	for i := 0; i < lines; i++ {
-		c.Access(uint64(i), ClassData)
+		if hit, ev := c.AccessEvict(uint64(i), ClassData); hit || ev != 0 {
+			t.Fatalf("first pass, line %d: (hit %v, evicted %d), want a cold fill into a free way", i, hit, ev)
+		}
 	}
-	before := c.Stats(ClassData).Misses
 	for i := 0; i < lines; i++ {
 		if !c.Access(uint64(i), ClassData) {
 			t.Fatalf("line %d missed on second pass", i)
 		}
-	}
-	if after := c.Stats(ClassData).Misses; after != before {
-		t.Errorf("misses grew on resident working set: %d -> %d", before, after)
 	}
 }
 
@@ -130,15 +142,18 @@ func TestCacheCapacityWorkingSetThrashes(t *testing.T) {
 	g := CacheGeom{SizeBytes: 32 << 10, LineBytes: 64, Assoc: 8, MissPenalty: 8}
 	c := NewCache(g)
 	lines := 2 * g.SizeBytes / g.LineBytes // 2x capacity, cyclic: classic LRU thrash
+	accesses, misses := 0, 0
 	for pass := 0; pass < 3; pass++ {
 		for i := 0; i < lines; i++ {
-			c.Access(uint64(i), ClassData)
+			accesses++
+			if !c.Access(uint64(i), ClassData) {
+				misses++
+			}
 		}
 	}
-	st := c.Stats(ClassData)
-	if st.Misses != st.Accesses {
+	if misses != accesses {
 		t.Errorf("cyclic over-capacity sweep should miss every access under LRU: %d/%d",
-			st.Misses, st.Accesses)
+			misses, accesses)
 	}
 }
 

@@ -1,6 +1,12 @@
 package core
 
-import "oltpsim/internal/simmem"
+import (
+	"sync"
+	"sync/atomic"
+	"unsafe"
+
+	"oltpsim/internal/simmem"
+)
 
 // MissCounts holds per-level, per-class miss counters for one core — the raw
 // events a hardware PMU would report.
@@ -93,60 +99,123 @@ type Hierarchy struct {
 	// first claim. Unclaimed lines interleave across sockets by 4KB page.
 	homes *homeMap
 
-	// mt holds the concurrent-mode synchronization state (socket locks and
-	// per-core invalidation inboxes); nil in the serialized single-goroutine
-	// mode. See hierarchy_mt.go.
+	// mt holds the concurrent-mode synchronization state (LLC lock stripes,
+	// per-core deferred ops and invalidation inboxes); nil in the serialized
+	// single-goroutine mode. See hierarchy_mt.go.
 	mt *hierMT
 }
 
-// The coherence directory is a two-level paged slice keyed by data line ID
-// relative to the data segment base: a top-level slice of pages, each page
-// covering dirPageSize lines. Lookups are two dependent loads instead of a
-// map probe on the per-access hot path; pages materialize lazily, so only
-// line ranges that are actually written cost memory.
+// The coherence directory is a paged table keyed by data line ID relative to
+// the data segment base: a fixed top level of chunk pointers, chunks of page
+// pointers, and pages of dirPageSize sharer masks. A lookup is three
+// dependent loads (top entry, page pointer, mask) instead of a map probe on
+// the per-access hot path; chunks and pages materialize lazily, so only line
+// ranges that are actually touched cost memory.
+//
+// The pointers are published atomically and materialization is serialized by
+// a cold-path mutex (the layout simmem.Arena uses for its page table), so in
+// concurrent mode cores holding different lock stripes may read and
+// materialize pages at the same time. Each mask word is guarded by its line's
+// stripe (hierarchy_mt.go).
 const (
-	dirPageShift = 14
-	dirPageSize  = 1 << dirPageShift
-	dirPageMask  = dirPageSize - 1
+	dirPageShift  = 14
+	dirPageSize   = 1 << dirPageShift
+	dirPageMask   = dirPageSize - 1
+	dirChunkShift = 10 // pages per chunk
+	dirChunkPages = 1 << dirChunkShift
+	dirChunkMask  = dirChunkPages - 1
+	// dirChunks x dirChunkPages x dirPageSize lines = 2^34 lines: the 1 TiB
+	// data segment cap of simmem.Arena.
+	dirChunks = 1 << 10
 )
 
 type dirPage [dirPageSize]uint64
 
+// dirChunk holds *dirPage pointers, and directory.top *dirChunk pointers,
+// accessed only through sync/atomic. They are unsafe.Pointer rather than the
+// generic atomic.Pointer, which would push get and clear over the inlining
+// budget on the per-access path.
+type dirChunk [dirChunkPages]unsafe.Pointer
+
 type directory struct {
-	base  uint64 // line ID of the data segment base
-	pages []*dirPage
+	base uint64 // line ID of the data segment base
+	top  [dirChunks]unsafe.Pointer
+	mu   sync.Mutex // serializes chunk and page materialization
 }
 
 func newDirectory() *directory {
 	return &directory{base: uint64(simmem.DataBase) >> LineShift}
 }
 
+// page returns the page holding line id, or nil when it was never
+// materialized (or id lies outside the data segment).
+func (d *directory) page(id uint64) *dirPage {
+	pi := (id - d.base) >> dirPageShift
+	ci := pi >> dirChunkShift
+	if ci >= dirChunks {
+		return nil
+	}
+	ch := (*dirChunk)(atomic.LoadPointer(&d.top[ci]))
+	if ch == nil {
+		return nil
+	}
+	return (*dirPage)(atomic.LoadPointer(&ch[pi&dirChunkMask]))
+}
+
 // get returns the sharer mask for line id (0 when never recorded).
 func (d *directory) get(id uint64) uint64 {
-	idx := id - d.base
-	pi := idx >> dirPageShift
-	if pi >= uint64(len(d.pages)) || d.pages[pi] == nil {
+	p := d.page(id)
+	if p == nil {
 		return 0
 	}
-	return d.pages[pi][idx&dirPageMask]
+	return p[(id-d.base)&dirPageMask]
+}
+
+// clear removes bit from line id's sharer mask. A set bit implies a
+// materialized page, so unlike set this never materializes one (and stays
+// cheap enough to inline on the eviction path).
+func (d *directory) clear(id uint64, bit uint64) {
+	if p := d.page(id); p != nil {
+		p[(id-d.base)&dirPageMask] &^= bit
+	}
 }
 
 // set stores the sharer mask for line id, materializing its page.
 func (d *directory) set(id uint64, mask uint64) {
-	idx := id - d.base
+	p := d.page(id)
+	if p == nil {
+		p = d.materialize(id)
+	}
+	p[(id-d.base)&dirPageMask] = mask
+}
+
+// materialize publishes the chunk and page holding line id (page returns
+// nil for lines outside the data segment, so the range checks live here).
+// Racing callers all end up with the same page.
+//
+//oltpsim:coldpath lazy directory page materialization, once per page
+func (d *directory) materialize(id uint64) *dirPage {
 	if id < d.base {
 		panic("core: coherence directory access below the data segment")
 	}
-	pi := idx >> dirPageShift
-	for pi >= uint64(len(d.pages)) {
-		d.pages = append(d.pages, nil)
+	pi := (id - d.base) >> dirPageShift
+	ci := pi >> dirChunkShift
+	if ci >= dirChunks {
+		panic("core: coherence directory access beyond the simulated data segment cap")
 	}
-	p := d.pages[pi]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	ch := (*dirChunk)(atomic.LoadPointer(&d.top[ci]))
+	if ch == nil {
+		ch = new(dirChunk)
+		atomic.StorePointer(&d.top[ci], unsafe.Pointer(ch))
+	}
+	p := (*dirPage)(atomic.LoadPointer(&ch[pi&dirChunkMask]))
 	if p == nil {
-		p = new(dirPage) //oltpsim:coldpath lazy directory page materialization, once per page
-		d.pages[pi] = p
+		p = new(dirPage)
+		atomic.StorePointer(&ch[pi&dirChunkMask], unsafe.Pointer(p))
 	}
-	p[idx&dirPageMask] = mask
+	return p
 }
 
 // homeMap records explicit home-socket claims per data line: 0 means
@@ -394,17 +463,20 @@ func (h *Hierarchy) serveDataMiss(s int, id uint64, ct *MissCounts) int {
 // private cache no longer holds it either, the core's directory bit clears.
 // This is what keeps the directory exact rather than a may-hold superset.
 func (h *Hierarchy) evictPrivate(core, socket int, ev uint64, other *Cache) {
-	if ev == 0 {
-		return
+	if x := dropped(ev, other); x != 0 {
+		h.dirs[socket].clear(x-1, uint64(1)<<uint(core))
 	}
-	line := ev - 1
-	if other.Probe(line) {
-		return
+}
+
+// dropped returns ev (a tag reported by AccessEvict or FillQuietEvict: the
+// evicted line ID+1, or 0) when that line left one of a core's private data
+// caches and other, the core's other private data cache, does not hold it
+// either, so the core's directory bit must clear. Otherwise it returns 0.
+func dropped(ev uint64, other *Cache) uint64 {
+	if ev == 0 || other.Probe(ev-1) {
+		return 0
 	}
-	d := h.dirs[socket]
-	if m := d.get(line); m&(uint64(1)<<uint(core)) != 0 {
-		d.set(line, m&^(uint64(1)<<uint(core)))
-	}
+	return ev
 }
 
 // invalidateSocket invalidates line id from every private cache of socket t

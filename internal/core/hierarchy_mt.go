@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"oltpsim/internal/simmem"
 )
@@ -15,19 +16,37 @@ import (
 //
 // Synchronization discipline:
 //
-//   - A core's private caches (l1i/l1d/l2) and its MissCounts entry are only
-//     ever touched by the goroutine driving that core — they stay
+//   - A core's private caches (l1i/l1d/l2), its MissCounts entry and its
+//     deferred-op buffers are only ever touched by the goroutine driving that
+//     core (and by Quiesce while every core is stopped) — they stay
 //     unsynchronized, like per-CPU hardware counters.
-//   - Each socket's shared state (its LLC and its directory slice) is guarded
-//     by one mutex in socks. Socket locks are never nested: the access path
-//     releases its own socket before probing or invalidating a remote one.
+//   - Each socket's shared state is split into llcStripes lock stripes by LLC
+//     set index: stripe k guards the LLC sets whose index is k modulo
+//     llcStripes, and the directory entries of the lines mapping to those
+//     sets. Sets are independent in the model, so the stripes share the
+//     socket's one LLC (one tag array, the serial indexing) without racing.
+//     Stripe locks are never nested: the access path releases its own
+//     socket's stripe before probing or invalidating a remote one, and takes
+//     at most one stripe per simulated line on the common path.
+//   - LLC fills from the next-line instruction prefetcher, and the directory
+//     clears for lines that left a core's private caches, do not take a lock
+//     when they happen. Each core queues them per stripe in a fixed buffer and
+//     applies the buffer the next time it takes that stripe for any reason,
+//     when the buffer fills, and in Quiesce. Ordering rule: per core and per
+//     LLC set, operations apply in program order; only the interleaving
+//     across cores changes, and that is nondeterministic anyway. A deferred
+//     clear leaves the core's directory bit set for a while after its copy
+//     left; a writer that sees the stale bit posts an invalidation that finds
+//     nothing to invalidate (and, across sockets, is charged as a transfer),
+//     the same as a copy evicted while the invalidation was in flight.
 //   - Writers never touch another core's private caches (the serial path
 //     does, in invalidateSocket). Instead they post the line to the victim
 //     core's invalidation inbox; the victim drains its inbox at the start of
-//     its next data access, invalidating its own copies and clearing its own
-//     directory bits. Inbox order: an enqueuer may hold a socket lock while
-//     taking an inbox lock, so drains never hold an inbox lock while taking a
-//     socket lock (they swap the queue out first).
+//     its next data access, invalidating its own copies and deferring the
+//     clear of its own directory bits. Inbox locks are leaves: an enqueuer
+//     holds a stripe lock while taking one, and a drain takes none while it
+//     holds its inbox lock. An atomic count lets a drain skip an empty inbox
+//     without locking it.
 //
 // The cost model consequence: invalidations become visible to the victim at
 // its next access rather than instantly (a message-passing approximation of
@@ -35,13 +54,51 @@ import (
 // to the core that *loses* the line rather than the writer. Directory and
 // caches may disagree transiently mid-run; after Quiesce they agree exactly
 // again, which is what CheckCoherent verifies and the concurrent race-hammer
-// tests assert. Cross-core totals remain conserved in both modes: every
-// (line, cache) invalidation event increments exactly one core's counter.
+// tests assert. A single active core in concurrent mode produces exactly the
+// serial mode's counters, stalls, LLC contents and directory. Cross-core
+// totals remain conserved in both modes: every (line, cache) invalidation
+// event increments exactly one core's counter.
+
+const (
+	// llcStripes is the number of lock stripes per socket (a power of two,
+	// so the stripe of a set is a mask of its index).
+	llcStripes    = 64
+	llcStripeMask = llcStripes - 1
+	// pendCap is the capacity of one core's deferred-op buffer for one
+	// stripe; a full buffer is applied at once.
+	pendCap = 16
+	// pendDirClear marks a deferred op as a clear of the owning core's
+	// directory bit; unmarked ops are LLC fills. Line IDs are addresses
+	// shifted by LineShift, so the top bit is free.
+	pendDirClear = uint64(1) << 63
+)
+
+// llcStripe is one lock stripe of a socket's shared state. llc and dir are
+// the socket's single LLC and directory (dir is nil without coherence);
+// through a stripe only the sets, and the lines, of that stripe may be
+// touched.
+type llcStripe struct {
+	mu  sync.Mutex
+	llc *Cache     //oltpsim:guarded-by mu
+	dir *directory //oltpsim:guarded-by mu
+	// Pad to one 64-byte cache line, so that cores taking different stripes
+	// do not contend on the line holding the locks.
+	_ [64 - 24]byte
+}
+
+// pendBuf is one core's deferred ops for one stripe of its socket, oldest
+// first.
+type pendBuf struct {
+	n   int
+	ops [pendCap]uint64
+}
 
 // invQueue is one core's pending-invalidation inbox.
 type invQueue struct {
 	mu      sync.Mutex
 	pending []uint64 //oltpsim:guarded-by mu
+	// n mirrors len(pending), so the owner skips an empty inbox lock-free.
+	n atomic.Int32
 	// draining is the owner core's swap buffer: only the owning core's
 	// goroutine touches it, outside the lock.
 	draining []uint64
@@ -50,15 +107,43 @@ type invQueue struct {
 // hierMT is the synchronization state of concurrent mode; nil while the
 // hierarchy is in (serialized) single-goroutine mode.
 type hierMT struct {
-	socks []sync.Mutex // one per socket: guards llcs[s] and dirs[s]
-	inq   []invQueue   // one per core
+	stripes []llcStripe           // socket s's stripe k at s*llcStripes+k
+	pend    [][llcStripes]pendBuf // per core, for its own socket's stripes
+	inq     []invQueue            // one per core
+}
+
+// stripe returns stripe k of socket s.
+func (mt *hierMT) stripe(s, k int) *llcStripe { return &mt.stripes[s*llcStripes+k] }
+
+// settle applies core's deferred ops for stripe k of its socket, st.
+//
+//oltpsim:holds mu
+func (mt *hierMT) settle(core, k int, st *llcStripe) {
+	if b := &mt.pend[core][k]; b.n != 0 {
+		st.apply(core, b)
+	}
+}
+
+// apply performs core's deferred ops in b, oldest first, and empties b.
+//
+//oltpsim:holds mu
+func (st *llcStripe) apply(core int, b *pendBuf) {
+	bit := uint64(1) << uint(core)
+	for _, op := range b.ops[:b.n] {
+		if op&pendDirClear == 0 {
+			st.llc.FillQuiet(op)
+			continue
+		}
+		st.dir.clear(op&^pendDirClear, bit)
+	}
+	b.n = 0
 }
 
 // SetConcurrent switches the hierarchy between the serialized single-
 // goroutine mode (the harness default; byte-identical to the historical
 // paths) and the concurrent mode described above. It must be called while no
-// accesses are in flight. Leaving concurrent mode drains every inbox so the
-// directory and caches agree again.
+// accesses are in flight. Leaving concurrent mode drains every inbox and
+// deferred buffer so the directory and caches agree again.
 func (h *Hierarchy) SetConcurrent(on bool) {
 	if !on {
 		h.Quiesce()
@@ -68,18 +153,54 @@ func (h *Hierarchy) SetConcurrent(on bool) {
 	if h.mt != nil {
 		return
 	}
-	h.mt = &hierMT{
-		socks: make([]sync.Mutex, h.nSock),
-		inq:   make([]invQueue, len(h.cores)),
+	mt := &hierMT{
+		stripes: make([]llcStripe, h.nSock*llcStripes),
+		pend:    make([][llcStripes]pendBuf, len(h.cores)),
+		inq:     make([]invQueue, len(h.cores)),
 	}
+	for s := 0; s < h.nSock; s++ {
+		var dir *directory
+		if h.dirs != nil {
+			dir = h.dirs[s]
+		}
+		for k := 0; k < llcStripes; k++ {
+			mt.stripes[s*llcStripes+k] = llcStripe{llc: h.llcs[s], dir: dir}
+		}
+	}
+	h.mt = mt
 }
 
 // Concurrent reports whether the hierarchy is in concurrent mode.
 func (h *Hierarchy) Concurrent() bool { return h.mt != nil }
 
+// stripeOf returns the lock stripe of line id: its LLC set index modulo
+// llcStripes (every socket's LLC has the same geometry).
+func (h *Hierarchy) stripeOf(id uint64) int { return h.llcs[0].setIndex(id) & llcStripeMask }
+
+// deferOp queues op (an LLC fill, or a directory clear tagged pendDirClear)
+// on core's buffer for the op's stripe. The caller holds no stripe lock: a
+// buffer that fills is applied at once.
+func (h *Hierarchy) deferOp(core, s int, op uint64) {
+	k := h.stripeOf(op &^ pendDirClear)
+	b := &h.mt.pend[core][k]
+	b.ops[b.n] = op
+	b.n++
+	if b.n == pendCap {
+		h.flushStripe(core, s, k)
+	}
+}
+
+// flushStripe applies core's deferred ops for stripe k of its socket s.
+func (h *Hierarchy) flushStripe(core, s, k int) {
+	st := h.mt.stripe(s, k)
+	st.mu.Lock()
+	st.apply(core, &h.mt.pend[core][k])
+	st.mu.Unlock()
+}
+
 // postInvalidations enqueues line id to the inbox of every socket-t core
-// named in mask except skip. Caller holds socks[t]; inbox locks are leaf
-// locks under socket locks.
+// named in mask except skip. Caller holds the line's stripe of socket t;
+// inbox locks are leaf locks under stripe locks.
 func (h *Hierarchy) postInvalidations(t int, id uint64, mask uint64, skip int) {
 	lo, hi := h.socketRange(t)
 	for other := lo; other < hi; other++ {
@@ -89,27 +210,27 @@ func (h *Hierarchy) postInvalidations(t int, id uint64, mask uint64, skip int) {
 		q := &h.mt.inq[other]
 		q.mu.Lock()
 		q.pending = append(q.pending, id)
+		q.n.Add(1)
 		q.mu.Unlock()
 	}
 }
 
 // drainInvalidations applies core's pending invalidations to its own private
-// caches and directory bits. Called by the owning core's goroutine (or by
-// Quiesce while the cores are stopped).
+// caches and defers the clears of its directory bits. Called by the owning
+// core's goroutine (or by Quiesce while the cores are stopped).
 func (h *Hierarchy) drainInvalidations(core int) {
 	q := &h.mt.inq[core]
-	q.mu.Lock()
-	if len(q.pending) == 0 {
-		q.mu.Unlock()
+	if q.n.Load() == 0 {
 		return
 	}
+	q.mu.Lock()
 	q.pending, q.draining = q.draining[:0], q.pending
+	q.n.Store(0)
 	q.mu.Unlock()
 
 	cc := &h.cores[core]
 	ct := &h.counts[core]
 	s := h.sockOf[core]
-	bit := uint64(1) << uint(core)
 	for _, id := range q.draining {
 		if cc.l1d.Invalidate(id) {
 			ct.Invalidations++
@@ -117,39 +238,40 @@ func (h *Hierarchy) drainInvalidations(core int) {
 		if cc.l2.Invalidate(id) {
 			ct.Invalidations++
 		}
-		if h.dirs != nil {
-			h.mt.socks[s].Lock()
-			if m := h.dirs[s].get(id); m&bit != 0 {
-				h.dirs[s].set(id, m&^bit)
-			}
-			h.mt.socks[s].Unlock()
-		}
+		h.deferOp(core, s, id|pendDirClear)
 	}
 }
 
-// Quiesce drains every core's invalidation inbox. In concurrent mode it must
-// be called with all cores stopped (the engine's Observe path holds every
-// per-core lock); it restores exact directory/cache agreement. A no-op in
-// serialized mode.
+// Quiesce drains every core's invalidation inbox and applies every deferred
+// op. In concurrent mode it must be called with all cores stopped (the
+// engine's Observe path holds every per-core lock); it restores exact
+// directory/cache agreement and the LLC contents the cores' accesses imply.
+// A no-op in serialized mode.
 func (h *Hierarchy) Quiesce() {
 	if h.mt == nil {
 		return
 	}
 	for c := range h.cores {
 		h.drainInvalidations(c)
+		for k := range h.mt.pend[c] {
+			if h.mt.pend[c][k].n != 0 {
+				h.flushStripe(c, h.sockOf[c], k)
+			}
+		}
 	}
 }
 
 // dataAccessMT is the concurrent-mode body of DataAccess. Counter semantics
 // match the serial path except that per-cache Invalidations are credited to
-// the victim core at drain time (see the file comment).
+// the victim core at drain time (see the file comment). An L1D miss takes
+// one stripe lock (two or more only for a cross-socket write or an LLC miss
+// probing remote sockets).
 //
 //oltpsim:hotpath
 func (h *Hierarchy) dataAccessMT(core int, addr simmem.Addr, size int, write bool) int {
 	cc := &h.cores[core]
 	ct := &h.counts[core]
 	s := h.sockOf[core]
-	llc := h.llcs[s]
 	mt := h.mt
 	h.drainInvalidations(core)
 	stall := 0
@@ -157,35 +279,39 @@ func (h *Hierarchy) dataAccessMT(core int, addr simmem.Addr, size int, write boo
 	last := (uint64(addr) + uint64(size) - 1) >> LineShift
 	for id := first; id <= last; id++ {
 		ct.L1DAcc++
+		k := h.stripeOf(id)
+		st := mt.stripe(s, k)
 		if write {
 			if h.dirs != nil {
 				self := uint64(1) << uint(core)
-				mt.socks[s].Lock()
-				if mask := h.dirs[s].get(id); mask&^self != 0 {
+				x1 := dropped(cc.l1d.FillQuietEvict(id), cc.l2)
+				x2 := dropped(cc.l2.FillQuietEvict(id), cc.l1d)
+				st.mu.Lock()
+				mt.settle(core, k, st)
+				if mask := st.dir.get(id); mask&^self != 0 {
 					h.postInvalidations(s, id, mask, core)
-					h.dirs[s].set(id, self)
 				}
-				h.evictPrivate(core, s, cc.l1d.FillQuietEvict(id), cc.l2)
-				h.evictPrivate(core, s, cc.l2.FillQuietEvict(id), cc.l1d)
-				llc.FillQuiet(id)
-				h.dirs[s].set(id, h.dirs[s].get(id)|self)
-				mt.socks[s].Unlock()
+				st.llc.FillQuiet(id)
+				st.dir.set(id, self)
+				st.mu.Unlock()
+				h.deferDropped(core, s, x1, x2)
 				// Remote sockets: invalidate their LLC copy and post to their
 				// cores' inboxes; the ownership transfer stalls the writer.
-				// Each remote socket is locked on its own, never nested.
+				// Each remote stripe is locked on its own, never nested.
 				if h.nSock > 1 {
 					for t := 0; t < h.nSock; t++ {
 						if t == s {
 							continue
 						}
-						mt.socks[t].Lock()
-						rmask := h.dirs[t].get(id)
-						inLLC := h.llcs[t].Invalidate(id)
+						rt := mt.stripe(t, k)
+						rt.mu.Lock()
+						rmask := rt.dir.get(id)
+						inLLC := rt.llc.Invalidate(id)
 						if rmask != 0 {
 							h.postInvalidations(t, id, rmask, -1)
-							h.dirs[t].set(id, 0)
+							rt.dir.set(id, 0)
 						}
-						mt.socks[t].Unlock()
+						rt.mu.Unlock()
 						if rmask != 0 || inLLC {
 							ct.XInvalidations++
 							stall += h.cfg.XInvalidatePenalty
@@ -196,9 +322,10 @@ func (h *Hierarchy) dataAccessMT(core int, addr simmem.Addr, size int, write boo
 			}
 			cc.l1d.FillQuiet(id)
 			cc.l2.FillQuiet(id)
-			mt.socks[s].Lock()
-			llc.FillQuiet(id)
-			mt.socks[s].Unlock()
+			st.mu.Lock()
+			mt.settle(core, k, st)
+			st.llc.FillQuiet(id)
+			st.mu.Unlock()
 			continue
 		}
 		if h.dirs == nil {
@@ -210,12 +337,13 @@ func (h *Hierarchy) dataAccessMT(core int, addr simmem.Addr, size int, write boo
 			if !cc.l2.Access(id, ClassData) {
 				ct.L2DMiss++
 				stall += h.cfg.L2.MissPenalty
-				mt.socks[s].Lock()
-				hit := llc.Access(id, ClassData)
-				mt.socks[s].Unlock()
+				st.mu.Lock()
+				mt.settle(core, k, st)
+				hit := st.llc.Access(id, ClassData)
+				st.mu.Unlock()
 				if !hit {
 					ct.LLCDMiss++
-					stall += h.serveDataMissMT(s, id, ct)
+					stall += h.serveDataMissMT(s, k, id, ct)
 				}
 			}
 			continue
@@ -227,42 +355,46 @@ func (h *Hierarchy) dataAccessMT(core int, addr simmem.Addr, size int, write boo
 		ct.L1DMiss++
 		stall += h.cfg.L1D.MissPenalty
 		hit2, ev2 := cc.l2.AccessEvict(id, ClassData)
+		x1, x2 := dropped(ev, cc.l2), dropped(ev2, cc.l1d)
 		llcMiss := false
-		mt.socks[s].Lock()
-		h.evictPrivate(core, s, ev, cc.l2)
-		h.evictPrivate(core, s, ev2, cc.l1d)
+		st.mu.Lock()
+		mt.settle(core, k, st)
 		if !hit2 {
 			ct.L2DMiss++
 			stall += h.cfg.L2.MissPenalty
-			if !llc.Access(id, ClassData) {
+			if !st.llc.Access(id, ClassData) {
 				ct.LLCDMiss++
 				llcMiss = true
 			}
 		}
-		h.dirs[s].set(id, h.dirs[s].get(id)|uint64(1)<<uint(core))
-		mt.socks[s].Unlock()
+		st.dir.set(id, st.dir.get(id)|uint64(1)<<uint(core))
+		st.mu.Unlock()
+		h.deferDropped(core, s, x1, x2)
 		if llcMiss {
-			stall += h.serveDataMissMT(s, id, ct)
+			stall += h.serveDataMissMT(s, k, id, ct)
 		}
 	}
 	return stall
 }
 
-// serveDataMissMT is serveDataMiss with each remote LLC probed under its own
-// socket lock.
-func (h *Hierarchy) serveDataMissMT(s int, id uint64, ct *MissCounts) int {
+// deferDropped defers the directory clears for the lines dropped reported
+// (tags, 0 for none) after they left core's private caches.
+func (h *Hierarchy) deferDropped(core, s int, x1, x2 uint64) {
+	if x1 != 0 {
+		h.deferOp(core, s, (x1-1)|pendDirClear)
+	}
+	if x2 != 0 {
+		h.deferOp(core, s, (x2-1)|pendDirClear)
+	}
+}
+
+// serveDataMissMT is serveDataMiss with the remote LLCs probed by
+// inRemoteLLC.
+func (h *Hierarchy) serveDataMissMT(s, k int, id uint64, ct *MissCounts) int {
 	if h.nSock > 1 {
-		for t := range h.llcs {
-			if t == s {
-				continue
-			}
-			h.mt.socks[t].Lock()
-			hit := h.llcs[t].Probe(id)
-			h.mt.socks[t].Unlock()
-			if hit {
-				ct.LLCDRemoteLLC++
-				return h.cfg.RemoteLLCPenalty
-			}
+		if h.inRemoteLLC(s, k, id) {
+			ct.LLCDRemoteLLC++
+			return h.cfg.RemoteLLCPenalty
 		}
 		if h.homeOf(id) != s {
 			ct.LLCDRemoteDRAM++
@@ -272,9 +404,28 @@ func (h *Hierarchy) serveDataMissMT(s int, id uint64, ct *MissCounts) int {
 	return h.cfg.LLC.MissPenalty
 }
 
+// inRemoteLLC reports whether any socket other than s holds line id in its
+// LLC, probing each under its own stripe k lock.
+func (h *Hierarchy) inRemoteLLC(s, k int, id uint64) bool {
+	for t := 0; t < h.nSock; t++ {
+		if t == s {
+			continue
+		}
+		rt := h.mt.stripe(t, k)
+		rt.mu.Lock()
+		hit := rt.llc.Probe(id)
+		rt.mu.Unlock()
+		if hit {
+			return true
+		}
+	}
+	return false
+}
+
 // fetchCodeMT is the concurrent-mode body of FetchCode: private I-side caches
-// need no locks (code is read-only and never invalidated), the socket LLC is
-// touched under its lock.
+// need no locks (code is read-only and never invalidated), an L2 miss probes
+// the socket LLC under the line's stripe lock, and the prefetcher's LLC fills
+// are deferred, so an L1I miss that hits in L2 takes no lock at all.
 //
 //oltpsim:hotpath
 func (h *Hierarchy) fetchCodeMT(core int, addr simmem.Addr, nLines int) int {
@@ -282,65 +433,50 @@ func (h *Hierarchy) fetchCodeMT(core int, addr simmem.Addr, nLines int) int {
 	ct := &h.counts[core]
 	l1i, l2 := cc.l1i, cc.l2
 	s := h.sockOf[core]
-	llc := h.llcs[s]
 	mt := h.mt
 	stall := 0
 	line := uint64(addr) >> LineShift
 	for i := 0; i < nLines; i++ {
 		id := line + uint64(i)
 		ct.L1IAcc++
-		if !l1i.Access(id, ClassInstr) {
-			ct.L1IMiss++
-			stall += h.cfg.L1I.MissPenalty
-			if !l2.Access(id, ClassInstr) {
-				ct.L2IMiss++
-				stall += h.cfg.L2.MissPenalty
-				mt.socks[s].Lock()
-				hit := llc.Access(id, ClassInstr)
-				mt.socks[s].Unlock()
-				if !hit {
-					ct.LLCIMiss++
-					stall += h.serveInstrMissMT(core, id, ct)
-				}
+		if l1i.Access(id, ClassInstr) {
+			continue
+		}
+		ct.L1IMiss++
+		stall += h.cfg.L1I.MissPenalty
+		if !l2.Access(id, ClassInstr) {
+			ct.L2IMiss++
+			stall += h.cfg.L2.MissPenalty
+			k := h.stripeOf(id)
+			st := mt.stripe(s, k)
+			st.mu.Lock()
+			mt.settle(core, k, st)
+			hit := st.llc.Access(id, ClassInstr)
+			st.mu.Unlock()
+			if !hit {
+				ct.LLCIMiss++
+				stall += h.serveInstrMissMT(s, k, id, ct)
 			}
-			// Sequential next-line prefetch on the miss path, as in serial
-			// mode. The private fills need no lock; the shared-LLC fills are
-			// batched under one acquisition of the socket lock.
-			if h.cfg.IPrefetchLines > 0 {
-				for p := 1; p <= h.cfg.IPrefetchLines; p++ {
-					pid := id + uint64(p)
-					l1i.FillQuiet(pid)
-					l2.FillQuiet(pid)
-					ct.IPrefetches++
-				}
-				mt.socks[s].Lock()
-				for p := 1; p <= h.cfg.IPrefetchLines; p++ {
-					llc.FillQuiet(id + uint64(p))
-				}
-				mt.socks[s].Unlock()
-			}
+		}
+		// Sequential next-line prefetch on the miss path, as in serial mode;
+		// the shared-LLC fills are deferred (see the file comment).
+		for p := 1; p <= h.cfg.IPrefetchLines; p++ {
+			pid := id + uint64(p)
+			l1i.FillQuiet(pid)
+			l2.FillQuiet(pid)
+			ct.IPrefetches++
+			h.deferOp(core, s, pid)
 		}
 	}
 	return stall
 }
 
-// serveInstrMissMT is serveInstrMiss with each remote LLC probed under its
-// own socket lock.
-func (h *Hierarchy) serveInstrMissMT(core int, id uint64, ct *MissCounts) int {
-	if h.nSock > 1 {
-		s := h.sockOf[core]
-		for t := range h.llcs {
-			if t == s {
-				continue
-			}
-			h.mt.socks[t].Lock()
-			hit := h.llcs[t].Probe(id)
-			h.mt.socks[t].Unlock()
-			if hit {
-				ct.LLCIRemoteLLC++
-				return h.cfg.RemoteLLCPenalty
-			}
-		}
+// serveInstrMissMT is serveInstrMiss with the remote LLCs probed by
+// inRemoteLLC.
+func (h *Hierarchy) serveInstrMissMT(s, k int, id uint64, ct *MissCounts) int {
+	if h.nSock > 1 && h.inRemoteLLC(s, k, id) {
+		ct.LLCIRemoteLLC++
+		return h.cfg.RemoteLLCPenalty
 	}
 	return h.cfg.LLC.MissPenalty
 }
@@ -407,14 +543,21 @@ func (h *Hierarchy) CheckCoherent() error {
 
 // each visits every nonzero directory entry.
 func (d *directory) each(visit func(id, mask uint64)) {
-	for pi, p := range d.pages {
-		if p == nil {
+	for ci := range d.top {
+		ch := (*dirChunk)(atomic.LoadPointer(&d.top[ci]))
+		if ch == nil {
 			continue
 		}
-		base := d.base + uint64(pi)<<dirPageShift
-		for i, mask := range p {
-			if mask != 0 {
-				visit(base+uint64(i), mask)
+		for pi := range ch {
+			p := (*dirPage)(atomic.LoadPointer(&ch[pi]))
+			if p == nil {
+				continue
+			}
+			base := d.base + uint64(ci<<dirChunkShift+pi)<<dirPageShift
+			for i, mask := range p {
+				if mask != 0 {
+					visit(base+uint64(i), mask)
+				}
 			}
 		}
 	}

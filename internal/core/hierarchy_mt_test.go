@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -18,8 +19,9 @@ import (
 //  3. TotalCounts is exactly the per-core sum — no events are lost or
 //     double-counted by the striped locking;
 //  4. a single active core in concurrent mode produces byte-for-byte the
-//     counters and stalls of serialized mode (the lock striping must not
-//     change the simulation, only permit interleaving).
+//     counters, stalls, LLC contents and directory of serialized mode (the
+//     lock striping and the deferred fills must not change the simulation,
+//     only permit interleaving).
 //
 // Run with -race to also let the detector check the locking discipline.
 
@@ -40,9 +42,15 @@ func mtHammerStep(h *Hierarchy, c int, r *testRand, dataLines, codeLines int) {
 
 func TestConcurrentHierarchyHammer(t *testing.T) {
 	const steps = 20000
-	for _, tc := range []struct{ cores, sockets int }{{2, 1}, {4, 2}, {8, 4}} {
-		t.Run(fmt.Sprintf("%dcores_%dsockets", tc.cores, tc.sockets), func(t *testing.T) {
-			h := NewHierarchy(numaTestCfg(tc.cores, tc.sockets))
+	for _, tc := range []struct{ cores, sockets, prefetch int }{{2, 1, 0}, {4, 2, 0}, {8, 4, 0}, {4, 2, 3}} {
+		name := fmt.Sprintf("%dcores_%dsockets", tc.cores, tc.sockets)
+		if tc.prefetch > 0 {
+			name += fmt.Sprintf("_prefetch%d", tc.prefetch)
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := numaTestCfg(tc.cores, tc.sockets)
+			cfg.IPrefetchLines = tc.prefetch
+			h := NewHierarchy(cfg)
 			h.SetConcurrent(true)
 			var wg sync.WaitGroup
 			for c := 0; c < tc.cores; c++ {
@@ -60,20 +68,29 @@ func TestConcurrentHierarchyHammer(t *testing.T) {
 			if err := h.CheckCoherent(); err != nil {
 				t.Fatalf("coherence after quiesce: %v", err)
 			}
+			for c := range h.mt.pend {
+				for k := range h.mt.pend[c] {
+					if n := h.mt.pend[c][k].n; n != 0 {
+						t.Fatalf("core %d stripe %d holds %d deferred ops after quiesce", c, k, n)
+					}
+				}
+			}
 			checkCounters(t, h, steps)
 			var sum MissCounts
 			for c := 0; c < tc.cores; c++ {
-				sum.Add(h.Counts(c))
+				ct := h.Counts(c)
+				if want := ct.L1IMiss * uint64(tc.prefetch); ct.IPrefetches != want {
+					t.Fatalf("core %d issued %d prefetches for %d L1I misses, want %d",
+						c, ct.IPrefetches, ct.L1IMiss, want)
+				}
+				sum.Add(ct)
 			}
 			if sum != h.TotalCounts() {
 				t.Fatalf("TotalCounts %+v != per-core sum %+v", h.TotalCounts(), sum)
 			}
-			if sum.L1DAcc != uint64(0) && sum.L1DAcc+sum.L1IAcc == 0 {
-				t.Fatal("hammer recorded no accesses")
-			}
 			// Every core did `steps` operations; every one must be visible.
-			if got := sum.L1DAcc + sum.L1IAcc; got == 0 {
-				t.Fatalf("no accesses recorded, want >= %d", steps*tc.cores)
+			if got := sum.L1DAcc + sum.L1IAcc; got < uint64(steps*tc.cores) {
+				t.Fatalf("%d accesses recorded, want >= %d", got, steps*tc.cores)
 			}
 		})
 	}
@@ -81,43 +98,86 @@ func TestConcurrentHierarchyHammer(t *testing.T) {
 
 // TestConcurrentSingleCoreMatchesSerial runs the identical access sequence
 // through serialized and concurrent mode with only one core active: the
-// striped locking must be a pure synchronization layer, leaving counters and
-// stall cycles untouched.
+// striped locking and the deferred LLC fills and directory clears must be a
+// pure synchronization layer, leaving counters, stall cycles, every LLC's
+// contents and the directory untouched once Quiesce has applied what is
+// still deferred. The deep-prefetch case fills more lines per miss than a
+// stripe's deferred buffer holds, so every miss overflows buffers.
 func TestConcurrentSingleCoreMatchesSerial(t *testing.T) {
-	run := func(concurrent bool) (MissCounts, int) {
+	const codeLines, dataLines = 64, 128
+	type result struct {
+		counts MissCounts
+		stalls int
+		llc    [][]bool   // per socket, per probed line
+		dir    [][]uint64 // per socket, per data line
+	}
+	run := func(concurrent bool, prefetch, steps int) result {
 		cfg := numaTestCfg(4, 2)
-		cfg.IPrefetchLines = 2
+		cfg.IPrefetchLines = prefetch
 		h := NewHierarchy(cfg)
 		if concurrent {
 			h.SetConcurrent(true)
 		}
 		const c = 1
 		r := &testRand{s: 7}
-		stalls := 0
-		for i := 0; i < 8000; i++ {
-			id := uint64(r.intn(128))
+		var res result
+		for i := 0; i < steps; i++ {
+			id := uint64(r.intn(dataLines))
 			addr := simmem.DataBase + simmem.Addr(id)*LineBytes
 			switch r.intn(8) {
 			case 0, 1:
-				stalls += h.DataAccess(c, addr, 8, true)
+				res.stalls += h.DataAccess(c, addr, 8, true)
 			case 2, 3, 4, 5:
-				stalls += h.DataAccess(c, addr, 8, false)
+				res.stalls += h.DataAccess(c, addr, 8, false)
 			default:
-				stalls += h.FetchCode(c, simmem.CodeBase+simmem.Addr(r.intn(64))*LineBytes, 1+r.intn(4))
+				res.stalls += h.FetchCode(c, simmem.CodeBase+simmem.Addr(r.intn(codeLines))*LineBytes, 1+r.intn(4))
 			}
 		}
 		if concurrent {
 			h.Quiesce()
 		}
-		return h.Counts(c), stalls
+		res.counts = h.Counts(c)
+		codeBase := uint64(simmem.CodeBase) >> LineShift
+		dataBase := uint64(simmem.DataBase) >> LineShift
+		for s := 0; s < h.Sockets(); s++ {
+			var llc []bool
+			// Every fetched line plus the deepest prefetch past the last one.
+			for id := codeBase; id < codeBase+codeLines+4+uint64(prefetch); id++ {
+				llc = append(llc, h.llcs[s].Probe(id))
+			}
+			var dir []uint64
+			for id := dataBase; id < dataBase+dataLines; id++ {
+				llc = append(llc, h.llcs[s].Probe(id))
+				dir = append(dir, h.dirs[s].get(id))
+			}
+			res.llc = append(res.llc, llc)
+			res.dir = append(res.dir, dir)
+		}
+		return res
 	}
-	serialCounts, serialStalls := run(false)
-	mtCounts, mtStalls := run(true)
-	if serialCounts != mtCounts {
-		t.Errorf("single-core counters diverge:\nserial     %+v\nconcurrent %+v", serialCounts, mtCounts)
-	}
-	if serialStalls != mtStalls {
-		t.Errorf("single-core stalls diverge: serial %d, concurrent %d", serialStalls, mtStalls)
+	for _, tc := range []struct {
+		name            string
+		prefetch, steps int
+	}{
+		{"prefetch2", 2, 8000},
+		{"prefetch_overflow", llcStripes*pendCap + 3, 2000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serial := run(false, tc.prefetch, tc.steps)
+			mt := run(true, tc.prefetch, tc.steps)
+			if serial.counts != mt.counts {
+				t.Errorf("single-core counters diverge:\nserial     %+v\nconcurrent %+v", serial.counts, mt.counts)
+			}
+			if serial.stalls != mt.stalls {
+				t.Errorf("single-core stalls diverge: serial %d, concurrent %d", serial.stalls, mt.stalls)
+			}
+			if !reflect.DeepEqual(serial.llc, mt.llc) {
+				t.Error("single-core LLC contents diverge after quiesce")
+			}
+			if !reflect.DeepEqual(serial.dir, mt.dir) {
+				t.Error("single-core directory diverges after quiesce")
+			}
+		})
 	}
 }
 

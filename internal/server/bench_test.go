@@ -53,12 +53,27 @@ func BenchmarkServeLoopback(b *testing.B) {
 
 // BenchmarkServeLoopbackBatch8 is the same path with 8 requests pipelined
 // per wait: the batching amortization the shard workers' group-execute loop
-// provides.
+// provides. It runs twice: serial forces the serialized session path
+// (Config.Serial), concurrent is oltpd's default for a multi-shard engine
+// (one goroutine per shard on a concurrent-mode hierarchy). The concurrent
+// mode earns its keep when its ns/op is no worse than serial's:
+//
+//	go test -run '^$' -bench ServeLoopbackBatch8 -count 5 ./internal/server
 func BenchmarkServeLoopbackBatch8(b *testing.B) {
+	for _, mode := range []struct {
+		name   string
+		serial bool
+	}{{"serial", true}, {"concurrent", false}} {
+		b.Run(mode.name, func(b *testing.B) { benchServeBatch8(b, mode.serial) })
+	}
+}
+
+func benchServeBatch8(b *testing.B, serial bool) {
 	s, err := New(Config{
 		System: systems.VoltDB,
 		Shards: 2,
 		Spec:   workload.Spec{Kind: "micro", Rows: 4096, RowsPerTx: 1},
+		Serial: serial,
 	})
 	if err != nil {
 		b.Fatal(err)
